@@ -15,12 +15,13 @@
 //! | `fig7`     | Fig. 7 — HATP vs NDG, predefined cost (LiveJournal) |
 //! | `fig8`     | Fig. 8 — HATP vs NSG, predefined cost (LiveJournal) |
 //! | `fig9`     | Fig. 9 — NSG/NDG sample-size sweep (Epinions) |
-//! | `ablation` | design-choice ablations called out in DESIGN.md |
+//! | `ablation` | design-choice ablations (error bound, ε/ζ schedule, RR threading) |
 //! | `all`      | everything above |
 //!
 //! The default configuration is laptop-sized (reduced scales, 5 worlds,
 //! trimmed k-grid); `--paper` lifts every knob to the paper's settings.
-//! EXPERIMENTS.md records paper-vs-measured per artifact.
+//! No paper-vs-measured record is committed yet: each run prints its
+//! tables, and the paper's figures are the reference to read them against.
 
 pub mod config;
 pub mod loadgen;

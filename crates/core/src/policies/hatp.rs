@@ -22,9 +22,9 @@
 //! ```
 //!
 //! (the paper prints the final threshold `ε` inside `C1'`; we use the
-//! current round's `ε_i`, which is what Lemma 7 actually certifies — see
-//! DESIGN.md). The decision on stop is `f̂ + r̂ ≥ 2c(u)`; with the shared
-//! batch `f̂ ≥ r̂` pointwise, this agrees with every certificate above.
+//! current round's `ε_i`, which is what Lemma 7 actually certifies). The
+//! decision on stop is `f̂ + r̂ ≥ 2c(u)`; with the shared batch `f̂ ≥ r̂`
+//! pointwise, this agrees with every certificate above.
 //!
 //! Guarantee (Theorem 4): expected profit
 //! `≥ (Λ(π_opt) − 2(k + ε·c(T))/(1−ε) − 2)/3`. Expected time

@@ -3,7 +3,8 @@
 //! The paper evaluates on four SNAP datasets (Table II) that cannot be
 //! shipped with this repository; [`presets`] provides deterministic synthetic
 //! stand-ins matched on directedness, node/edge counts, average degree and
-//! heavy-tailed degree skew (see DESIGN.md §3 for the substitution argument).
+//! heavy-tailed degree skew (see [`presets`] for why the substitution keeps
+//! the paper's comparisons meaningful).
 //! The individual generator families are public so tests and ablations can
 //! build graphs with controlled structure:
 //!

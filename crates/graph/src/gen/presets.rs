@@ -4,8 +4,10 @@
 //! each preset deterministically generates a synthetic stand-in matched on
 //! directedness, node count, edge count and average degree, with
 //! heavy-tailed degree skew (BA for the collaboration networks, Chung–Lu
-//! power-law for the social/trust networks). See DESIGN.md §3 for why this
-//! substitution preserves the paper's comparisons.
+//! power-law for the social/trust networks). The paper's comparisons are
+//! relative (policy vs policy on the same graph), and the quantities they
+//! depend on — reachability and spread skew — are driven by the degree
+//! distribution, which is what the stand-ins match.
 //!
 //! | Dataset     | n     | m     | Type       | Avg. deg |
 //! |-------------|-------|-------|------------|----------|

@@ -13,23 +13,30 @@
 //!
 //! ## Wire format
 //!
-//! Two segment generations share the frame discipline; readers accept
-//! both, writers produce v2:
+//! Journal segments (`ATPMJNL2`) and checkpoints (`ATPMCKP1`) share one
+//! frame layout, written by `push_frame` and read by `decode_frames`:
 //!
 //! ```text
-//! "ATPMJNL1"                         8-byte magic (legacy v1 segments)
+//! magic: 8 bytes                     "ATPMJNL2" or "ATPMCKP1"
 //! repeat:
 //!   len: u32 LE                      payload byte length
-//!   crc: u32 LE                      CRC-32 (IEEE) of payload
-//!   payload: len bytes               one JSON record, {"op": ...}
-//!
-//! "ATPMJNL2"                         8-byte magic (current segments)
-//! repeat:
-//!   len: u32 LE                      payload byte length
-//!   crc: u32 LE                      CRC-32 (IEEE) of seq ++ payload
-//!   seq: u64 LE                      global commit sequence number
-//!   payload: len bytes               one JSON record, {"op": ...}
+//!   crc: u32 LE                      CRC-32 (IEEE) of the body
+//!   body:
+//!     seq: u64 LE                    global commit sequence number
+//!                                    (journal frames only)
+//!     payload: len bytes             one JSON object, {"op": ...}
 //! ```
+//!
+//! The checksum covers the seq too, so a flipped sequence number is
+//! corruption, not a silent replay skew. An active segment with any other
+//! magic — including the seq-less `ATPMJNL1` layout of the first journal
+//! builds — is refused: opening fails with `InvalidData` and the file is
+//! left untouched.
+//!
+//! Only batch ops are written: the single-seed `next`/`observe` verbs are
+//! rounds of one and journal as `next_batch` (`k = 1`) / `observe_batch`.
+//! The pre-batch `"next"`/`"observe"` ops still decode, as those records,
+//! so journals written before the verbs merged keep recovering.
 //!
 //! Appends are `write_all` + `flush` per record, so a crash can only tear
 //! the *final* record. Opening validates each record's length and checksum
@@ -84,8 +91,7 @@ use crate::json::Json;
 use crate::protocol::{nodes_field, ApiError, CreateSessionReq, ObserveBatchReq, ObserveReq};
 use atpm_graph::Node;
 
-const MAGIC_V1: &[u8; 8] = b"ATPMJNL1";
-const MAGIC_V2: &[u8; 8] = b"ATPMJNL2";
+const JNL_MAGIC: &[u8; 8] = b"ATPMJNL2";
 const CKP_MAGIC: &[u8; 8] = b"ATPMCKP1";
 /// Upper bound on a single record's payload; a declared length beyond this
 /// is treated as tail corruption, not an allocation request.
@@ -105,25 +111,9 @@ pub enum Record {
         /// The creating request (snapshot, policy, world seed).
         req: CreateSessionReq,
     },
-    /// `POST next` committed a new seed batch (idempotent replays of an
-    /// already-pending seed are not journaled — they change nothing).
-    Next {
-        /// Session token.
-        token: String,
-        /// The committed batch.
-        seeds: Vec<Node>,
-        /// Whether the policy finished.
-        done: bool,
-    },
-    /// `POST observe` applied an observation.
-    Observe {
-        /// Session token.
-        token: String,
-        /// The observation applied.
-        req: ObserveReq,
-    },
-    /// `POST next_batch` committed a new seed batch under an explicit
-    /// requested round size (idempotent re-serves are not journaled).
+    /// `POST next`/`next_batch` committed a new seed batch under a
+    /// requested round size (`k = 1` for `next`; idempotent re-serves are
+    /// not journaled).
     NextBatch {
         /// Session token.
         token: String,
@@ -136,7 +126,7 @@ pub enum Record {
         /// Whether the policy finished.
         done: bool,
     },
-    /// `POST observe_batch` applied a joint batch observation.
+    /// `POST observe`/`observe_batch` applied a (joint) observation.
     ObserveBatch {
         /// Session token.
         token: String,
@@ -157,17 +147,6 @@ impl Record {
             Record::Create { id, token, req } => Json::obj([
                 ("op", Json::Str("create".into())),
                 ("id", Json::UInt(*id)),
-                ("token", Json::Str(token.clone())),
-                ("req", req.to_json()),
-            ]),
-            Record::Next { token, seeds, done } => Json::obj([
-                ("op", Json::Str("next".into())),
-                ("token", Json::Str(token.clone())),
-                ("seeds", Json::nums(seeds.iter().copied())),
-                ("done", Json::Bool(*done)),
-            ]),
-            Record::Observe { token, req } => Json::obj([
-                ("op", Json::Str("observe".into())),
                 ("token", Json::Str(token.clone())),
                 ("req", req.to_json()),
             ]),
@@ -219,40 +198,37 @@ impl Record {
                         .ok_or_else(|| ApiError::bad_request("create record missing 'req'"))?,
                 )?,
             }),
-            "next" => Ok(Record::Next {
+            // The pre-batch `next` op was a round of one and carried no
+            // `k`; journals written before the verbs merged still hold it.
+            "next" | "next_batch" => Ok(Record::NextBatch {
                 token: token(v)?,
                 seeds: nodes_field(v, "seeds")?,
+                k: match op {
+                    "next" => 1,
+                    _ => v
+                        .get("k")
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
+                        as usize,
+                },
                 done: v
                     .get("done")
                     .and_then(Json::as_bool)
-                    .ok_or_else(|| ApiError::bad_request("next record missing 'done'"))?,
+                    .ok_or_else(|| ApiError::bad_request(format!("{op} record missing 'done'")))?,
             }),
-            "observe" => Ok(Record::Observe {
-                token: token(v)?,
-                req: ObserveReq::from_json(
-                    v.get("req")
-                        .ok_or_else(|| ApiError::bad_request("observe record missing 'req'"))?,
-                )?,
-            }),
-            "next_batch" => Ok(Record::NextBatch {
-                token: token(v)?,
-                seeds: nodes_field(v, "seeds")?,
-                k: v
-                    .get("k")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
-                    as usize,
-                done: v
-                    .get("done")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'done'"))?,
-            }),
-            "observe_batch" => Ok(Record::ObserveBatch {
-                token: token(v)?,
-                req: ObserveBatchReq::from_json(v.get("req").ok_or_else(|| {
-                    ApiError::bad_request("observe_batch record missing 'req'")
-                })?)?,
-            }),
+            "observe" | "observe_batch" => {
+                let req = v
+                    .get("req")
+                    .ok_or_else(|| ApiError::bad_request(format!("{op} record missing 'req'")))?;
+                Ok(Record::ObserveBatch {
+                    token: token(v)?,
+                    req: match op {
+                        // Pre-batch single-seed observation, as a round of one.
+                        "observe" => ObserveReq::from_json(req)?.into(),
+                        _ => ObserveBatchReq::from_json(req)?,
+                    },
+                })
+            }
             "delete" => Ok(Record::Delete { token: token(v)? }),
             other => Err(ApiError::bad_request(format!(
                 "unknown journal op '{other}'"
@@ -761,69 +737,30 @@ pub struct OpenInfo {
 
 /// One parsed segment file.
 struct ParsedSegment {
-    /// `(seq, record)` in append order; v1 frames carry seq 0.
+    /// `(seq, record)` in append order.
     records: Vec<(u64, Record)>,
     /// Byte offset just past the last intact frame.
     good_len: u64,
     /// Total byte length scanned (`> good_len` means a torn tail).
     total_len: u64,
-    /// Whether the segment uses the v1 (seq-less) frame layout.
-    v1: bool,
 }
 
 /// Walks a segment's frames, stopping at the first torn or corrupt one.
 /// Errors only on a bad magic.
 fn parse_segment(bytes: &[u8]) -> io::Result<ParsedSegment> {
-    let v1 = if bytes.len() >= 8 && &bytes[..8] == MAGIC_V2 {
-        false
-    } else if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
-        true
-    } else {
+    if bytes.get(..8) != Some(&JNL_MAGIC[..]) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "not an ATPMJNL1/ATPMJNL2 journal (bad magic)",
+            "not an ATPMJNL2 journal (bad magic)",
         ));
-    };
-    let head = if v1 { 8usize } else { 16usize };
-    let mut records = Vec::new();
-    let mut offset = 8usize;
-    while let Some(header) = bytes.get(offset..offset + head) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_RECORD {
-            break;
-        }
-        // v2 checksums cover seq ++ payload (contiguous on disk), so a
-        // flipped sequence number is corruption, not a silent replay skew.
-        let Some(checked) = bytes.get(offset + 8..offset + head + len) else {
-            break;
-        };
-        if crc32(checked) != crc {
-            break;
-        }
-        let seq = if v1 {
-            0
-        } else {
-            u64::from_le_bytes(checked[0..8].try_into().unwrap())
-        };
-        let payload = &checked[if v1 { 0 } else { 8 }..];
-        let parsed = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| Json::parse(text).ok())
-            .and_then(|json| Record::from_json(&json).ok());
-        let Some(record) = parsed else {
-            // A record that checksums but doesn't parse is corruption
-            // (or a future format); treat it as the tail boundary.
-            break;
-        };
-        records.push((seq, record));
-        offset += head + len;
     }
+    let (records, good_len) = decode_frames(bytes, true, |payload| {
+        Record::from_json(&parse_json(payload)?).ok()
+    });
     Ok(ParsedSegment {
         records,
-        good_len: offset as u64,
+        good_len: good_len as u64,
         total_len: bytes.len() as u64,
-        v1,
     })
 }
 
@@ -841,37 +778,12 @@ struct ParsedCkp {
 /// replay). Broken session frames mark the tail: the sessions before them
 /// load, everything after is discarded — never a panic.
 fn parse_checkpoint(bytes: &[u8]) -> Option<ParsedCkp> {
-    if bytes.len() < 8 || &bytes[..8] != CKP_MAGIC {
+    if bytes.get(..8) != Some(&CKP_MAGIC[..]) {
         return None;
     }
-    let mut offset = 8usize;
-    let mut frames = Vec::new();
-    let mut torn_at = None;
-    while let Some(header) = bytes.get(offset..offset + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_RECORD {
-            break;
-        }
-        let Some(payload) = bytes.get(offset + 8..offset + 8 + len) else {
-            break;
-        };
-        if crc32(payload) != crc {
-            break;
-        }
-        let Some(json) = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| Json::parse(text).ok())
-        else {
-            break;
-        };
-        frames.push(json);
-        offset += 8 + len;
-    }
-    if (offset as u64) < bytes.len() as u64 {
-        torn_at = Some(offset as u64);
-    }
-    let mut frames = frames.into_iter();
+    let (frames, good_len) = decode_frames(bytes, false, parse_json);
+    let torn_at = (good_len < bytes.len()).then_some(good_len as u64);
+    let mut frames = frames.into_iter().map(|(_, json)| json);
     let head = frames.next()?;
     if head.get("op").and_then(Json::as_str) != Some("ckp-head") {
         return None;
@@ -904,9 +816,6 @@ struct ActiveSegment {
     /// Seq of the last record appended (globally monotonic across
     /// rotations and restarts).
     appended_seq: u64,
-    /// Legacy v1 segment — appends keep the seq-less frame layout so the
-    /// file stays self-consistent.
-    v1: bool,
 }
 
 /// Group-commit state: the durable high-water mark plus leader election.
@@ -995,13 +904,9 @@ impl Journal {
 
         // Skip rule: a record at or below a checkpointed session's
         // `last_seq` is already reflected in its synthesized history.
-        // (v1 frames read back as seq 0 and only survive in sealed
-        // segments, which by construction predate the serialization.)
         let keep = |seq: u64, record: &Record| -> bool {
             let token = match record {
                 Record::Create { token, .. }
-                | Record::Next { token, .. }
-                | Record::Observe { token, .. }
                 | Record::NextBatch { token, .. }
                 | Record::ObserveBatch { token, .. }
                 | Record::Delete { token } => token,
@@ -1040,10 +945,10 @@ impl Journal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (good_len, v1) = if bytes.is_empty() {
-            io.write_all(&file, MAGIC_V2)?;
+        let good_len = if bytes.is_empty() {
+            io.write_all(&file, JNL_MAGIC)?;
             file.flush()?;
-            (8u64, false)
+            8
         } else {
             let parsed = parse_segment(&bytes)?;
             if parsed.good_len < parsed.total_len {
@@ -1058,7 +963,7 @@ impl Journal {
                     records.push(record);
                 }
             }
-            (parsed.good_len, parsed.v1)
+            parsed.good_len
         };
 
         let segments = 1 + info.segments_replayed;
@@ -1069,7 +974,6 @@ impl Journal {
             active: Mutex::new(ActiveSegment {
                 file,
                 appended_seq: max_seq,
-                v1,
             }),
             commit: Mutex::new(CommitState {
                 durable_seq: max_seq,
@@ -1141,15 +1045,8 @@ impl Journal {
         let payload = payload.as_bytes();
         let mut active = self.active.lock().unwrap_or_else(|p| p.into_inner());
         let seq = active.appended_seq + 1;
-        let frame = if active.v1 {
-            let mut frame = Vec::with_capacity(8 + payload.len());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
-            frame
-        } else {
-            encode_frame_v2(seq, payload)
-        };
+        let mut frame = Vec::with_capacity(16 + payload.len());
+        push_frame(&mut frame, Some(seq), payload);
         // A failed or torn append leaves an unparseable frame mid-file;
         // appending more records after it would strand them past the
         // recovery truncation point. Poison instead of pretending.
@@ -1295,7 +1192,7 @@ impl Journal {
                 return Err(e);
             }
         };
-        if let Err(e) = self.io.write_all(&fresh, MAGIC_V2).and_then(|()| {
+        if let Err(e) = self.io.write_all(&fresh, JNL_MAGIC).and_then(|()| {
             let mut f = &fresh;
             f.flush()
         }) {
@@ -1306,7 +1203,6 @@ impl Journal {
             return Err(e);
         }
         active.file = fresh;
-        active.v1 = false;
         self.bytes.store(8, Ordering::Relaxed);
         self.segments.fetch_add(1, Ordering::Relaxed);
         drop(active);
@@ -1337,9 +1233,9 @@ impl Journal {
             ("next_id", Json::UInt(next_id)),
             ("sessions", Json::UInt(sessions.len() as u64)),
         ]);
-        push_ckp_frame(&mut buf, &head);
+        push_frame(&mut buf, None, head.encode().as_bytes());
         for session in sessions {
-            push_ckp_frame(&mut buf, &session.to_json());
+            push_frame(&mut buf, None, session.to_json().encode().as_bytes());
         }
         let ckp = ckp_path(&self.path);
         let tmp = ckp_tmp_path(&self.path);
@@ -1373,23 +1269,61 @@ fn poisoned_error() -> io::Error {
     io::Error::other("journal poisoned: an earlier durability failure may have lost writes")
 }
 
-fn encode_frame_v2(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(16 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut checked = Vec::with_capacity(8 + payload.len());
-    checked.extend_from_slice(&seq.to_le_bytes());
-    checked.extend_from_slice(payload);
-    frame.extend_from_slice(&crc32(&checked).to_le_bytes());
-    frame.extend_from_slice(&checked);
-    frame
+/// Appends one frame to `buf`: the payload length, the CRC-32 of the
+/// body, then the body — `seq` when given (journal frames), followed by
+/// the payload.
+fn push_frame(buf: &mut Vec<u8>, seq: Option<u64>, payload: &[u8]) {
+    let start = buf.len();
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&[0; 4]);
+    if let Some(seq) = seq {
+        buf.extend_from_slice(&seq.to_le_bytes());
+    }
+    buf.extend_from_slice(payload);
+    let crc = crc32(&buf[start + 8..]);
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-fn push_ckp_frame(buf: &mut Vec<u8>, json: &Json) {
-    let payload = json.encode();
-    let payload = payload.as_bytes();
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+/// Walks the frames [`push_frame`] wrote after an 8-byte magic, stopping
+/// at the first torn or corrupt one: an oversized length, a short body, a
+/// CRC mismatch, or a payload `parse` rejects (a frame that checksums but
+/// doesn't parse is corruption, or a future format). `seq` says whether
+/// bodies lead with a sequence number (0 when they don't). Returns the
+/// decoded `(seq, payload)` frames and the byte offset just past the last
+/// intact one.
+fn decode_frames<T>(
+    bytes: &[u8],
+    seq: bool,
+    mut parse: impl FnMut(&[u8]) -> Option<T>,
+) -> (Vec<(u64, T)>, usize) {
+    let seq_len = if seq { 8 } else { 0 };
+    let mut frames = Vec::new();
+    let mut offset = 8usize;
+    while let Some(header) = bytes.get(offset..offset + 8) {
+        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        if len > MAX_RECORD {
+            break;
+        }
+        let Some(body) = bytes.get(offset + 8..offset + 8 + seq_len + len) else {
+            break;
+        };
+        if crc32(body) != crc {
+            break;
+        }
+        let (seq_bytes, payload) = body.split_at(seq_len);
+        let Some(value) = parse(payload) else {
+            break;
+        };
+        frames.push((seq_bytes.try_into().map_or(0, u64::from_le_bytes), value));
+        offset += 8 + body.len();
+    }
+    (frames, offset)
+}
+
+/// A frame payload as JSON (`None` when it is not UTF-8 JSON).
+fn parse_json(payload: &[u8]) -> Option<Json> {
+    Json::parse(std::str::from_utf8(payload).ok()?).ok()
 }
 
 fn ckp_path(path: &Path) -> PathBuf {
@@ -1471,17 +1405,19 @@ mod tests {
                     world_seed: 42,
                 },
             },
-            Record::Next {
+            Record::NextBatch {
                 token: "s00000001".into(),
                 seeds: vec![17],
+                k: 1,
                 done: false,
             },
-            Record::Observe {
+            Record::ObserveBatch {
                 token: "s00000001".into(),
                 req: ObserveReq::Report {
                     seed: 17,
                     activated: vec![17, 4],
-                },
+                }
+                .into(),
             },
             Record::NextBatch {
                 token: "s00000001".into(),
@@ -1496,9 +1432,10 @@ mod tests {
                     activated: vec![3, 8, 11],
                 },
             },
-            Record::Next {
+            Record::NextBatch {
                 token: "s00000001".into(),
                 seeds: vec![],
+                k: 1,
                 done: true,
             },
             Record::Delete {
@@ -1587,28 +1524,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_segments_still_replay() {
+    fn v1_segments_are_refused_not_clobbered() {
         let path = temp_path("v1compat");
         scrub(&path);
-        // Hand-write a legacy segment: v1 magic, 8-byte frame headers.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
+        // Hand-write a segment in the retired seq-less layout: v1 magic,
+        // 8-byte frame headers, CRC over the payload alone.
+        let mut bytes = b"ATPMJNL1".to_vec();
         for record in sample_records() {
             let payload = record.to_json().encode();
-            let payload = payload.as_bytes();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
+            push_frame(&mut bytes, None, payload.as_bytes());
         }
         std::fs::write(&path, &bytes).unwrap();
-        let (journal, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed, sample_records());
-        // Appends to a v1 file keep the v1 frame layout, so the mixed
-        // file stays parseable end to end.
-        journal.append(&sample_records()[0]).unwrap();
-        drop(journal);
-        let (_journal, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed.len(), sample_records().len() + 1);
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Refused, not truncated or rewritten: the file is byte-for-byte
+        // what was there.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         scrub(&path);
     }
 

@@ -4,38 +4,38 @@
 //! [`SessionState`]; the serve-observe-update loop of the paper's adaptive
 //! protocol (§II-B) is driven one request at a time:
 //!
-//! 1. `next` — resume the session, let the policy commit its next seed,
-//!    suspend again. The seed is now *pending*: the residual graph is not
-//!    touched until its cascade is observed.
-//! 2. `observe` — apply the realized activations (client-reported, or
-//!    server-simulated against the session's possible world) and clear the
-//!    pending seed.
+//! 1. `next_batch` — resume the session, let the policy commit up to `k`
+//!    seeds decided against **one** residual state, suspend again. The
+//!    batch is now *pending*: the residual graph is not touched until its
+//!    cascade is observed.
+//! 2. `observe_batch` — apply the batch's realized joint cascade
+//!    (client-reported, or server-simulated against the session's
+//!    possible world) as one adaptivity round, and clear the pending batch.
 //! 3. `ledger` — read the profit ledger at any time.
 //!
-//! The batch routes are the low-adaptivity form of the same loop:
-//! `next_batch` commits up to `k` seeds decided against **one** residual
-//! state, `observe_batch` applies their joint cascade as one adaptivity
-//! round. A pending batch is re-served verbatim on retry (whatever `k`
-//! the retry asks for), and mixing the single-seed verbs with a pending
-//! multi-seed batch is a 409 — the generalization of the wrong-seed
-//! conflict rule. At `k = 1` the batch routes are byte-identical to the
-//! single-seed ones by the stepper contract.
+//! Those two are the only commit path. The single-seed verbs are aliases
+//! for a round of one: `next` is `next_batch(k = 1)` and `observe` is
+//! `observe_batch` with a one-seed batch — byte-identical by the stepper
+//! contract, journaled as the same batch records. The one rule the aliases
+//! add is that `next` answers 409 while a multi-seed batch is pending (it
+//! cannot hand that batch out one seed at a time).
 //!
 //! Concurrency: the table itself is a `Mutex<HashMap>` held only for
 //! lookup/insert; each session sits behind its own `Arc<Mutex<_>>`, so
 //! requests for different sessions proceed in parallel and requests for the
 //! same session serialize (the protocol is inherently sequential per
-//! session). `next` is **idempotent**: while a seed is pending, retrying
-//! `next` returns that same seed again (a client that lost the response can
-//! safely re-ask), and the residual graph is untouched until `observe`.
-//! Genuinely conflicting calls (`observe` with nothing pending or for the
-//! wrong seed) are rejected with 409 rather than corrupting the run — the
-//! serve protocol stays byte-identical to the in-process
-//! [`run_stepper`](atpm_core::run_stepper) drive.
+//! session). `next_batch` is **idempotent**: while a batch is pending,
+//! retrying returns that same batch again, whatever `k` the retry asks for
+//! (a client that lost the response can safely re-ask), and the residual
+//! graph is untouched until the observation. Genuinely conflicting calls
+//! (observing with nothing pending, or for the wrong seeds) are rejected
+//! with 409 rather than corrupting the run — the serve protocol stays
+//! byte-identical to the in-process [`run_stepper`](atpm_core::run_stepper)
+//! drive.
 //!
 //! Durability: with [`attach_journal`](SessionManager::attach_journal), every
-//! committed transition (create / new seed / observation / delete) is
-//! appended to an [`ATPMJNL1` journal](crate::journal) — idempotent retries
+//! committed transition (create / new batch / observation / delete) is
+//! appended to an [`ATPMJNL2` journal](crate::journal) — idempotent retries
 //! are not re-journaled. [`recover`](SessionManager::recover) replays a
 //! journal through these same handlers, rebuilding each session bit-for-bit
 //! (same token, same seed sequence, same ledger).
@@ -411,8 +411,8 @@ impl SessionManager {
     /// live afterwards.
     ///
     /// Sessions are deterministic given `(snapshot, policy, world seed,
-    /// observations)`, so re-driving `next`/`observe` reproduces each
-    /// session bit-for-bit; every replayed `next` is checked against the
+    /// observations)`, so re-driving `next_batch`/`observe_batch` reproduces
+    /// each session bit-for-bit; every replayed round is checked against the
     /// journaled batch, and a divergence (the named snapshot was rebuilt
     /// differently than the one the journal ran against) discards that
     /// session rather than resurrecting a corrupt run. Tombstones are not
@@ -426,17 +426,6 @@ impl SessionManager {
                     // New tokens must never collide with recovered ones.
                     self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                     let _ = self.create_with_token(req, token, *id);
-                }
-                Record::Next { token, seeds, done } => match self.next(token) {
-                    Ok(batch) if batch.seeds == *seeds && batch.done == *done => {}
-                    _ => {
-                        self.delete(token);
-                    }
-                },
-                Record::Observe { token, req } => {
-                    if self.observe(token, req).is_err() {
-                        self.delete(token);
-                    }
                 }
                 Record::NextBatch {
                     token,
@@ -645,55 +634,23 @@ impl SessionManager {
         stale.len()
     }
 
-    /// Advances the policy to its next committed seed (a batch round of
-    /// `k = 1` — byte-identical to the pre-batch single-seed protocol by
-    /// the stepper contract).
+    /// `POST next`: a [`next_batch`](Self::next_batch) round of `k = 1`.
+    /// A pending multi-seed batch cannot be handed out one seed at a time,
+    /// so it answers 409 instead of re-serving it.
     pub fn next(&self, token: &str) -> Result<NextBatch, ApiError> {
-        let entry = self.entry(token)?;
-        let mut entry = lock_entry(&entry);
-        entry.last_touched_ms = self.now_ms();
-        match entry.pending.len() {
-            0 => {}
-            1 => {
-                // Idempotent retry: a client whose response got lost
-                // (crash, shed, dropped connection) re-asks and receives
-                // the same committed seed — nothing advances, nothing
-                // re-journals.
-                return Ok(NextBatch {
-                    seeds: entry.pending.clone(),
-                    done: false,
-                });
-            }
-            n => {
-                // A multi-seed batch is pending: the single-seed route
-                // cannot observe it, so handing out one seed of it would
-                // wedge the session. Same conflict family as observing
-                // the wrong seed.
-                return Err(ApiError::new(
-                    409,
-                    format!("a batch of {n} seeds is pending; POST observe_batch first"),
-                ));
-            }
+        let batch = self.next_batch(token, 1)?;
+        // A `k = 1` round commits at most one seed, so more can only be
+        // the re-served pending batch of an earlier, larger round.
+        if batch.seeds.len() > 1 {
+            return Err(ApiError::new(
+                409,
+                format!(
+                    "a batch of {} seeds is pending; POST observe_batch first",
+                    batch.seeds.len()
+                ),
+            ));
         }
-        if entry.done {
-            return Ok(NextBatch {
-                seeds: Vec::new(),
-                done: true,
-            });
-        }
-        // `next_batch(session, 1)` is exactly one `next_seed` call.
-        let seeds = entry.with_session(|stepper, session| stepper.next_batch(session, 1))?;
-        let done = seeds.is_empty();
-        entry.pending = seeds.clone();
-        entry.pending_k = 1;
-        entry.done = done;
-        let seq = self.log(|| Record::Next {
-            token: token.to_string(),
-            seeds: seeds.clone(),
-            done,
-        })?;
-        entry.last_seq = entry.last_seq.max(seq);
-        Ok(NextBatch { seeds, done })
+        Ok(batch)
     }
 
     /// Advances the policy by one low-adaptivity round: up to `k` seeds
@@ -736,87 +693,15 @@ impl SessionManager {
         Ok(NextBatch { seeds, done })
     }
 
-    /// Applies an observation for the pending seed.
+    /// `POST observe`: an [`observe_batch`](Self::observe_batch) of a
+    /// one-seed batch.
     pub fn observe(&self, token: &str, req: &ObserveReq) -> Result<Observed, ApiError> {
-        let entry = self.entry(token)?;
-        let mut entry = lock_entry(&entry);
-        entry.last_touched_ms = self.now_ms();
-        let pending = match entry.pending.len() {
-            0 => {
-                return Err(ApiError::new(
-                    409,
-                    "no seed awaiting observation; POST next first",
-                ))
-            }
-            1 => entry.pending[0],
-            n => {
-                return Err(ApiError::new(
-                    409,
-                    format!("a batch of {n} seeds is pending; POST observe_batch instead"),
-                ))
-            }
-        };
-        if req.seed() != pending {
-            return Err(ApiError::new(
-                409,
-                format!(
-                    "observation is for seed {}, but seed {pending} is pending",
-                    req.seed()
-                ),
-            ));
-        }
-        let n = entry.snapshot.instance.graph().num_nodes();
-        let (activated, newly_activated) = match req {
-            ObserveReq::Simulate { seed } => {
-                let cascade = entry.with_session(|_, session| session.select(*seed))?;
-                let newly = cascade.len();
-                (cascade, newly)
-            }
-            ObserveReq::Report { seed, activated } => {
-                if let Some(&bad) = activated.iter().find(|&&v| v as usize >= n) {
-                    return Err(ApiError::bad_request(format!(
-                        "activated node {bad} out of range for a {n}-node graph"
-                    )));
-                }
-                // Under the IC model a committed seed always activates
-                // itself (it was alive when the stepper proposed it); a
-                // report omitting it would leave the ledger paying for a
-                // seed the residual graph still considers inactive.
-                if !activated.contains(seed) {
-                    return Err(ApiError::bad_request(format!(
-                        "activated must include the seed {seed} itself"
-                    )));
-                }
-                let seed = *seed;
-                let reported = activated.clone();
-                let newly = entry
-                    .with_session(move |_, session| session.apply_observation(seed, &reported))?;
-                (activated.clone(), newly)
-            }
-        };
-        entry.pending.clear();
-        let round_k = entry.pending_k;
-        entry.rounds.push(RoundRec {
-            k: round_k,
-            req: req.clone().into(),
-        });
-        let seq = self.log(|| Record::Observe {
-            token: token.to_string(),
-            req: req.clone(),
-        })?;
-        entry.last_seq = entry.last_seq.max(seq);
-        let ledger = entry.ledger()?;
-        Ok(Observed {
-            newly_activated,
-            activated,
-            ledger,
-        })
+        self.observe_batch(token, &req.clone().into())
     }
 
     /// Applies a joint observation for the whole pending batch. The
     /// reported `seeds` must be exactly the pending batch (same seeds,
-    /// same order) — the batch generalization of the single-seed 409
-    /// rule.
+    /// same order); anything else is a 409.
     pub fn observe_batch(&self, token: &str, req: &ObserveBatchReq) -> Result<Observed, ApiError> {
         let entry = self.entry(token)?;
         let mut entry = lock_entry(&entry);
@@ -824,7 +709,7 @@ impl SessionManager {
         if entry.pending.is_empty() {
             return Err(ApiError::new(
                 409,
-                "no batch awaiting observation; POST next_batch first",
+                "no seeds awaiting observation; POST next or next_batch first",
             ));
         }
         if req.seeds() != &entry.pending[..] {
@@ -840,8 +725,7 @@ impl SessionManager {
         let n = entry.snapshot.instance.graph().num_nodes();
         let (activated, newly_activated) = match req {
             ObserveBatchReq::Simulate { seeds } => {
-                let seeds = seeds.clone();
-                let cascade = entry.with_session(move |_, session| session.select_batch(&seeds))?;
+                let cascade = entry.with_session(|_, session| session.select_batch(seeds))?;
                 let newly = cascade.len();
                 (cascade, newly)
             }
@@ -851,17 +735,17 @@ impl SessionManager {
                         "activated node {bad} out of range for a {n}-node graph"
                     )));
                 }
-                // Every seed of the batch activates itself under IC.
+                // Under the IC model a committed seed always activates
+                // itself (it was alive when the stepper proposed it); a
+                // report omitting one would leave the ledger paying for a
+                // seed the residual graph still considers inactive.
                 if let Some(&seed) = req.seeds().iter().find(|s| !activated.contains(s)) {
                     return Err(ApiError::bad_request(format!(
                         "activated must include the seed {seed} itself"
                     )));
                 }
-                let seeds = seeds.clone();
-                let reported = activated.clone();
-                let newly = entry.with_session(move |_, session| {
-                    session.apply_observations(&seeds, &reported)
-                })?;
+                let newly = entry
+                    .with_session(|_, session| session.apply_observations(seeds, activated))?;
                 (activated.clone(), newly)
             }
         };

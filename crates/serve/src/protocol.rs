@@ -591,23 +591,6 @@ impl ObserveBatchReq {
             ]),
         }
     }
-
-    /// The single-seed form of this observation, when the batch has exactly
-    /// one seed (used to journal batch-of-one rounds compatibly).
-    pub fn as_single(&self) -> Option<ObserveReq> {
-        match self {
-            ObserveBatchReq::Simulate { seeds } if seeds.len() == 1 => {
-                Some(ObserveReq::Simulate { seed: seeds[0] })
-            }
-            ObserveBatchReq::Report { seeds, activated } if seeds.len() == 1 => {
-                Some(ObserveReq::Report {
-                    seed: seeds[0],
-                    activated: activated.clone(),
-                })
-            }
-            _ => None,
-        }
-    }
 }
 
 impl From<ObserveReq> for ObserveBatchReq {
@@ -821,23 +804,26 @@ mod tests {
             let parsed = ObserveBatchReq::from_json(&Json::parse(&req.to_json().encode()).unwrap());
             assert_eq!(parsed.unwrap(), req);
             assert_eq!(req.seeds(), &[5, 9]);
-            assert!(req.as_single().is_none(), "two seeds have no single form");
         }
     }
 
     #[test]
     fn batch_of_one_observation_converts_both_ways() {
-        for single in [
-            ObserveReq::Simulate { seed: 7 },
-            ObserveReq::Report {
+        // Both observation modes carry over to a one-seed batch.
+        assert_eq!(
+            ObserveBatchReq::from(ObserveReq::Simulate { seed: 7 }),
+            ObserveBatchReq::Simulate { seeds: vec![7] }
+        );
+        assert_eq!(
+            ObserveBatchReq::from(ObserveReq::Report {
                 seed: 7,
                 activated: vec![7, 8],
-            },
-        ] {
-            let batch: ObserveBatchReq = single.clone().into();
-            assert_eq!(batch.seeds(), &[7]);
-            assert_eq!(batch.as_single(), Some(single));
-        }
+            }),
+            ObserveBatchReq::Report {
+                seeds: vec![7],
+                activated: vec![7, 8],
+            }
+        );
     }
 
     #[test]

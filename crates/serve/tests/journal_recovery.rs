@@ -259,16 +259,18 @@ mod fuzz {
             req: session_req(),
         }];
         for round in 0..3u32 {
-            records.push(Record::Next {
+            records.push(Record::NextBatch {
                 token: "s-1".into(),
                 seeds: vec![round * 7 + 1],
+                k: 1,
                 done: false,
             });
-            records.push(Record::Observe {
+            records.push(Record::ObserveBatch {
                 token: "s-1".into(),
                 req: ObserveReq::Simulate {
                     seed: round * 7 + 1,
-                },
+                }
+                .into(),
             });
         }
         records.push(Record::Delete {
@@ -429,9 +431,7 @@ mod fuzz {
         for r in records {
             let token = match r {
                 Record::Create { token, .. }
-                | Record::Next { token, .. }
                 | Record::NextBatch { token, .. }
-                | Record::Observe { token, .. }
                 | Record::ObserveBatch { token, .. }
                 | Record::Delete { token } => token.clone(),
             };
