@@ -55,20 +55,33 @@ pub use instance::TpmInstance;
 pub use oracle::{ExactOracle, McOracle, RisOracle, SpreadOracle};
 pub use runner::{evaluate_adaptive, evaluate_nonadaptive, EvalSummary};
 pub use session::{AdaptiveSession, SessionState};
-pub use stepper::{run_stepper, run_stepper_batched, PolicyStepper};
+pub use stepper::{run_stepper, PolicyStepper};
 
 /// Node id re-exported from the graph substrate.
 pub type Node = atpm_graph::Node;
 
-/// Adaptive policies drive an [`AdaptiveSession`]: they may inspect the
-/// residual graph, must call [`AdaptiveSession::select`] for every seed they
-/// commit, and return the selected set.
+/// An adaptive policy is a factory of [`PolicyStepper`]s, and every decision
+/// it makes happens in the stepper. [`run`](Self::run) drives a fresh
+/// stepper in-process; a service drives one across requests.
 pub trait AdaptivePolicy {
-    /// Display name (used in experiment tables).
-    fn name(&self) -> &'static str;
+    /// The resumable form; it may borrow the policy (ADG's stepper borrows
+    /// the spread oracle, whose query counter spans realizations).
+    type Stepper<'a>: PolicyStepper
+    where
+        Self: 'a;
+
+    /// A fresh stepper, positioned before the first target.
+    fn stepper(&mut self) -> Self::Stepper<'_>;
+
+    /// Display name (used in experiment tables): the stepper's name.
+    fn name(&mut self) -> std::borrow::Cow<'static, str> {
+        self.stepper().name()
+    }
 
     /// Runs the policy to completion against one realization.
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node>;
+    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
+        run_stepper(&mut self.stepper(), session, 1)
+    }
 }
 
 /// Nonadaptive policies commit to a seed set up front (one batch, no

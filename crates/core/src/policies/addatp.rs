@@ -23,12 +23,15 @@
 //! Expected time `O(k·m·n·E[I(v°)]·ln n)` (Theorem 3) — the `n²` per-node
 //! sample blowup near `C2` is exactly the inefficiency HATP removes.
 
+use std::borrow::Cow;
+
 use atpm_graph::{GraphView, Node};
 use atpm_ris::bounds::addatp_theta;
 use atpm_ris::stream::front_rear_counts_shared;
-use atpm_ris::NodeSet;
 
+use crate::policies::hatp::TargetSweep;
 use crate::session::AdaptiveSession;
+use crate::stepper::PolicyStepper;
 use crate::AdaptivePolicy;
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -66,47 +69,54 @@ impl Default for Addatp {
 }
 
 impl AdaptivePolicy for Addatp {
-    fn name(&self) -> &'static str {
-        if self.dynamic_eps.is_some() {
-            "ADDATP-dyn"
-        } else {
-            "ADDATP"
+    type Stepper<'a> = AddatpStepper;
+
+    fn stepper(&mut self) -> AddatpStepper {
+        AddatpStepper {
+            cfg: self.clone(),
+            sweep: TargetSweep::default(),
+            round_salt: self.seed,
+            eta_tilde_sum: 0.0,
+        }
+    }
+}
+
+/// [`Addatp`] in resumable, one-seed-at-a-time form: the target sweep, the
+/// sampling salt chain, and the dynamic variant's `Ση̃_j`.
+pub struct AddatpStepper {
+    cfg: Addatp,
+    sweep: TargetSweep,
+    round_salt: u64,
+    eta_tilde_sum: f64,
+}
+
+impl PolicyStepper for AddatpStepper {
+    fn name(&self) -> Cow<'static, str> {
+        match self.cfg.dynamic_eps {
+            Some(_) => "ADDATP-dyn".into(),
+            None => "ADDATP".into(),
         }
     }
 
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        let target: Vec<Node> = session.instance().target().to_vec();
-        let k = target.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        let n = session.instance().graph().num_nodes();
-        let empty = NodeSet::new(n);
-        // `t_rest` tracks T_{i−1}; the examined node is removed up front so
-        // the set passed to the sampler is T_{i−1} ∖ {u_i}.
-        let mut t_rest = NodeSet::from_iter(n, target.iter().copied());
-        let mut round_salt = self.seed;
-        let mut eta_tilde_sum = 0.0f64; // Σ η̃_j of the dynamic variant
-
-        for &u in &target {
-            if session.is_activated(u) {
-                t_rest.remove(u);
-                continue;
-            }
-            t_rest.remove(u);
+    fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
+        let (cfg, round_salt, eta_tilde_sum) =
+            (&self.cfg, &mut self.round_salt, &mut self.eta_tilde_sum);
+        self.sweep.next_seed(session, |session, u, empty, t_rest| {
+            let k = session.instance().target().len();
+            let n = session.instance().graph().num_nodes();
             let ni = session.residual().num_alive();
             debug_assert!(ni >= 1, "u alive implies n_i >= 1");
             let nif = ni as f64;
             let c = session.instance().cost(u);
             // ζ_0 ∈ [1/n_i, 1): start from n_i·ζ_0 = initial_nzeta.
-            let mut zeta = (self.initial_nzeta / nif).min(0.5);
+            let mut zeta = (cfg.initial_nzeta / nif).min(0.5);
             let mut delta = 1.0 / (k as f64 * n as f64);
             // C2 threshold: fixed 1 in the base algorithm, re-budgeted from
             // accumulated profit in the dynamic variant.
-            let eta = match self.dynamic_eps {
+            let eta = match cfg.dynamic_eps {
                 None => 1.0,
                 Some(eps) => {
-                    let budget = eps * session.profit() - 2.0 * eta_tilde_sum - 2.0;
+                    let budget = eps * session.profit() - 2.0 * *eta_tilde_sum - 2.0;
                     if budget >= 0.0 {
                         budget / 2.0
                     } else {
@@ -115,21 +125,21 @@ impl AdaptivePolicy for Addatp {
                 }
             };
 
-            let keep = loop {
-                round_salt = round_salt.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let theta = addatp_theta(zeta, delta).min(self.max_theta);
+            loop {
+                *round_salt = round_salt.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let theta = addatp_theta(zeta, delta).min(cfg.max_theta);
                 let counts = front_rear_counts_shared(
                     session.residual(),
                     u,
-                    &empty,
-                    &t_rest,
+                    empty,
+                    t_rest,
                     theta,
-                    round_salt,
-                    self.threads,
+                    *round_salt,
+                    cfg.threads,
                 );
                 session.add_sampling_work(counts.theta as u64);
                 if counts.theta == 0 {
-                    break false;
+                    return false;
                 }
                 let tf = counts.theta as f64;
                 let rho_f = nif * counts.cov_front as f64 / tf - c;
@@ -137,23 +147,17 @@ impl AdaptivePolicy for Addatp {
                 let nz = nif * zeta;
                 let c1 = (rho_f - rho_r).abs() >= 2.0 * nz || rho_f <= -nz || rho_r <= -nz;
                 let c2 = nz <= eta;
-                let forced = theta >= self.max_theta;
+                let forced = theta >= cfg.max_theta;
                 if c1 || c2 || forced {
                     if c2 && !c1 {
-                        eta_tilde_sum += eta;
+                        *eta_tilde_sum += eta;
                     }
-                    break rho_f >= rho_r;
+                    return rho_f >= rho_r;
                 }
                 zeta /= SQRT_2;
                 delta /= 2.0;
-            };
-
-            if keep {
-                session.select(u);
-                t_rest.insert(u); // selected nodes stay in T_i
             }
-        }
-        session.selected().to_vec()
+        })
     }
 }
 

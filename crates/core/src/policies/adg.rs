@@ -16,10 +16,14 @@
 //! `E[I_{G_i}({u_i})]`; the rear marginal is a genuine conditional:
 //! `E[I_{G_i}(T_{i−1})] − E[I_{G_i}(T_{i−1} ∖ {u_i})]`.
 
+use std::borrow::Cow;
+
 use atpm_graph::Node;
 
 use crate::oracle::SpreadOracle;
+use crate::policies::hatp::TargetSweep;
 use crate::session::AdaptiveSession;
+use crate::stepper::PolicyStepper;
 use crate::AdaptivePolicy;
 
 /// Adaptive double greedy over any [`SpreadOracle`].
@@ -32,43 +36,52 @@ impl<O: SpreadOracle> Adg<O> {
     pub fn new(oracle: O) -> Self {
         Adg { oracle }
     }
+}
 
-    /// The wrapped oracle (used by tests to inspect call counts).
-    pub fn oracle_mut(&mut self) -> &mut O {
-        &mut self.oracle
+impl<O: SpreadOracle + Send> AdaptivePolicy for Adg<O> {
+    type Stepper<'a>
+        = AdgStepper<'a, O>
+    where
+        O: 'a;
+
+    fn stepper(&mut self) -> AdgStepper<'_, O> {
+        AdgStepper {
+            oracle: &mut self.oracle,
+            sweep: TargetSweep::default(),
+        }
     }
 }
 
-impl<O: SpreadOracle> AdaptivePolicy for Adg<O> {
-    fn name(&self) -> &'static str {
-        "ADG"
+/// [`Adg`] in resumable, one-seed-at-a-time form over the policy's
+/// borrowed oracle.
+pub struct AdgStepper<'a, O> {
+    oracle: &'a mut O,
+    sweep: TargetSweep,
+}
+
+impl<O: SpreadOracle + Send> PolicyStepper for AdgStepper<'_, O> {
+    fn name(&self) -> Cow<'static, str> {
+        "ADG".into()
     }
 
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        let target: Vec<Node> = session.instance().target().to_vec();
-        // T_i, kept as an ordered list (k is small; removal is O(k)).
-        let mut t_cur: Vec<Node> = target.clone();
-        for &u in &target {
-            if session.is_activated(u) {
-                t_cur.retain(|&v| v != u);
-                continue;
-            }
-            let c = session.instance().cost(u);
+    fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
+        let oracle = &mut *self.oracle;
+        self.sweep.next_seed(session, |session, u, _, t_rest| {
+            // T_{i-1} and T_{i-1} \ {u}, in examination order.
+            let target = session.instance().target();
+            let in_t = |&v: &Node| v == u || t_rest.contains(v);
+            let t_cur: Vec<Node> = target.iter().copied().filter(in_t).collect();
             let t_minus: Vec<Node> = t_cur.iter().copied().filter(|&v| v != u).collect();
+            let c = session.instance().cost(u);
             let view = session.residual();
             // Front: S_{i-1} is dead on G_i, so the conditional marginal is
             // the singleton spread.
-            let rho_f = self.oracle.spread(view, &[u]) - c;
+            let rho_f = oracle.spread(view, &[u]) - c;
             // Rear: E[I(T_{i-1})] - E[I(T_{i-1} \ {u})].
-            let marginal_t = self.oracle.spread(view, &t_cur) - self.oracle.spread(view, &t_minus);
+            let marginal_t = oracle.spread(view, &t_cur) - oracle.spread(view, &t_minus);
             let rho_r = c - marginal_t;
-            if rho_f >= rho_r {
-                session.select(u);
-            } else {
-                t_cur = t_minus;
-            }
-        }
-        session.selected().to_vec()
+            rho_f >= rho_r
+        })
     }
 }
 

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::instance::TpmInstance;
 use crate::session::AdaptiveSession;
-use crate::stepper::{run_stepper, PolicyStepper};
+use crate::stepper::PolicyStepper;
 use crate::{AdaptivePolicy, NonadaptivePolicy};
 
 /// Adaptive random set.
@@ -33,12 +33,12 @@ impl Default for Ars {
     }
 }
 
-impl Ars {
-    /// The resumable form of this policy (see [`crate::stepper`]).
-    ///
+impl AdaptivePolicy for Ars {
+    type Stepper<'a> = ArsStepper;
+
     /// Coins mix in the session's world seed, so the RNG is created lazily
     /// on the first [`next_seed`](PolicyStepper::next_seed) call.
-    pub fn stepper(&self) -> ArsStepper {
+    fn stepper(&mut self) -> ArsStepper {
         assert!((0.0..=1.0).contains(&self.prob), "prob must be in [0,1]");
         ArsStepper {
             cfg: self.clone(),
@@ -76,16 +76,6 @@ impl PolicyStepper for ArsStepper {
             }
         }
         None
-    }
-}
-
-impl AdaptivePolicy for Ars {
-    fn name(&self) -> &'static str {
-        "ARS"
-    }
-
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        run_stepper(&mut self.stepper(), session)
     }
 }
 

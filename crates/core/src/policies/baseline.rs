@@ -17,7 +17,7 @@ use atpm_graph::Node;
 
 use crate::instance::TpmInstance;
 use crate::session::AdaptiveSession;
-use crate::stepper::{run_stepper, PolicyStepper};
+use crate::stepper::PolicyStepper;
 use crate::{AdaptivePolicy, NonadaptivePolicy};
 
 /// Selects the whole target set.
@@ -39,9 +39,10 @@ impl NonadaptivePolicy for Baseline {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeployAll;
 
-impl DeployAll {
-    /// The resumable form of this policy (see [`crate::stepper`]).
-    pub fn stepper(&self) -> DeployAllStepper {
+impl AdaptivePolicy for DeployAll {
+    type Stepper<'a> = DeployAllStepper;
+
+    fn stepper(&mut self) -> DeployAllStepper {
         DeployAllStepper { idx: 0 }
     }
 }
@@ -65,16 +66,6 @@ impl PolicyStepper for DeployAllStepper {
             }
         }
         None
-    }
-}
-
-impl AdaptivePolicy for DeployAll {
-    fn name(&self) -> &'static str {
-        "DeployAll"
-    }
-
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        run_stepper(&mut self.stepper(), session)
     }
 }
 

@@ -39,7 +39,7 @@ use atpm_ris::stream::front_rear_counts_shared;
 use atpm_ris::NodeSet;
 
 use crate::session::AdaptiveSession;
-use crate::stepper::{run_stepper, PolicyStepper};
+use crate::stepper::PolicyStepper;
 use crate::AdaptivePolicy;
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -110,9 +110,9 @@ impl Hatp {
         let eps_t = self.eps_threshold;
         let mut eps = self.eps0;
         let mut zeta = (self.initial_nzeta / nif).min(0.5);
-        let mut delta = 1.0 / (n * n.max(2.0)); // δ_0 = 1/(kn) ≤ 1/n²-ish; see note below
-                                                // The paper initializes δ_i = 1/(kn); using 1/n² is never looser for
-                                                // k ≤ n and spares threading `k` through HNTP's reuse.
+        // The paper initializes δ_0 = 1/(kn); 1/n² ≤ 1/(kn) for k ≤ n, so this
+        // is never looser and spares threading `k` through HNTP's reuse.
+        let mut delta = 1.0 / (n * n.max(2.0));
         loop {
             *round_salt = round_salt
                 .wrapping_mul(6364136223846793005)
@@ -176,29 +176,24 @@ impl Hatp {
     }
 }
 
-impl Hatp {
-    /// The resumable form of this policy (see [`crate::stepper`]); `run`
-    /// drives it in-process, the serve layer drives it over the protocol.
-    pub fn stepper(&self) -> HatpStepper {
+impl AdaptivePolicy for Hatp {
+    type Stepper<'a> = HatpStepper;
+
+    fn stepper(&mut self) -> HatpStepper {
         HatpStepper {
             cfg: self.clone(),
-            idx: 0,
+            sweep: TargetSweep::default(),
             round_salt: self.seed,
-            sets: None,
         }
     }
 }
 
-/// [`Hatp`] in resumable, one-seed-at-a-time form. All per-run state lives
-/// here: the candidate cursor, the sampling salt chain, and the `T_rest`
-/// conditioning set of Algorithm 4.
+/// [`Hatp`] in resumable, one-seed-at-a-time form: the target sweep and
+/// the sampling salt chain of Algorithm 4.
 pub struct HatpStepper {
     cfg: Hatp,
-    idx: usize,
+    sweep: TargetSweep,
     round_salt: u64,
-    /// `(empty front condition, T_rest)`, lazily sized on the first call
-    /// (the stepper does not know `n` until it sees a session).
-    sets: Option<(NodeSet, NodeSet)>,
 }
 
 impl PolicyStepper for HatpStepper {
@@ -207,12 +202,48 @@ impl PolicyStepper for HatpStepper {
     }
 
     fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
+        let (cfg, round_salt) = (&self.cfg, &mut self.round_salt);
+        self.sweep.next_seed(session, |session, u, empty, t_rest| {
+            let mut work = 0u64;
+            let keep = cfg.decide_node(
+                session.residual(),
+                u,
+                session.instance().cost(u),
+                empty,
+                t_rest,
+                round_salt,
+                &mut work,
+            );
+            session.add_sampling_work(work);
+            keep
+        })
+    }
+}
+
+/// The double-greedy target sweep that ADG, ADDATP and HATP share
+/// (Algorithms 2–4), which differ only in the per-node keep rule: a cursor
+/// over the targets plus the `(∅, T_rest)` conditioning pair, sized lazily
+/// on the first call (a stepper learns `n` from its first session).
+#[derive(Default)]
+pub(crate) struct TargetSweep {
+    idx: usize,
+    sets: Option<(NodeSet, NodeSet)>,
+}
+
+impl TargetSweep {
+    /// Examines targets in order until `keep(session, u, ∅, T_rest)` accepts
+    /// one, and returns it uncommitted. Every examined target leaves
+    /// `T_rest` first (so the rule sees `T_{i−1} ∖ {u_i}`), activated ones
+    /// are skipped unasked, and a kept one returns to `T_rest`.
+    pub(crate) fn next_seed(
+        &mut self,
+        session: &mut AdaptiveSession<'_>,
+        mut keep: impl FnMut(&mut AdaptiveSession<'_>, Node, &NodeSet, &NodeSet) -> bool,
+    ) -> Option<Node> {
         let n = session.instance().graph().num_nodes();
         let (empty, t_rest) = self.sets.get_or_insert_with(|| {
-            (
-                NodeSet::new(n),
-                NodeSet::from_iter(n, session.instance().target().iter().copied()),
-            )
+            let target = session.instance().target().iter().copied();
+            (NodeSet::new(n), NodeSet::from_iter(n, target))
         });
         while self.idx < session.instance().target().len() {
             let u = session.instance().target()[self.idx];
@@ -221,34 +252,12 @@ impl PolicyStepper for HatpStepper {
             if session.is_activated(u) {
                 continue;
             }
-            let cost = session.instance().cost(u);
-            let mut work = 0u64;
-            let keep = self.cfg.decide_node(
-                session.residual(),
-                u,
-                cost,
-                empty,
-                t_rest,
-                &mut self.round_salt,
-                &mut work,
-            );
-            session.add_sampling_work(work);
-            if keep {
+            if keep(session, u, empty, t_rest) {
                 t_rest.insert(u);
                 return Some(u);
             }
         }
         None
-    }
-}
-
-impl AdaptivePolicy for Hatp {
-    fn name(&self) -> &'static str {
-        "HATP"
-    }
-
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        run_stepper(&mut self.stepper(), session)
     }
 }
 

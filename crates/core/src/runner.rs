@@ -70,7 +70,7 @@ impl EvalSummary {
 }
 
 /// Runs an adaptive policy once per world and aggregates profits.
-pub fn evaluate_adaptive<P: AdaptivePolicy + ?Sized>(
+pub fn evaluate_adaptive<P: AdaptivePolicy>(
     instance: &TpmInstance,
     policy: &mut P,
     world_seeds: &[u64],
@@ -90,7 +90,7 @@ pub fn evaluate_adaptive<P: AdaptivePolicy + ?Sized>(
         sampling_work += session.sampling_work();
     }
     EvalSummary {
-        algorithm: policy.name().into(),
+        algorithm: policy.name(),
         profits,
         seeds_per_run,
         decision_time,
@@ -160,6 +160,7 @@ pub fn standard_worlds(base: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::DeployAll;
     use atpm_graph::GraphBuilder;
 
     fn instance() -> TpmInstance {
@@ -167,23 +168,6 @@ mod tests {
         b.add_edge(0, 1, 1.0).unwrap();
         b.add_edge(1, 2, 0.5).unwrap();
         TpmInstance::new(b.build(), vec![0], &[1.0])
-    }
-
-    /// Trivial adaptive policy: select every not-yet-activated target.
-    struct TakeAll;
-    impl AdaptivePolicy for TakeAll {
-        fn name(&self) -> &'static str {
-            "TakeAll"
-        }
-        fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-            let targets: Vec<Node> = session.instance().target().to_vec();
-            for u in targets {
-                if !session.is_activated(u) {
-                    session.select(u);
-                }
-            }
-            session.selected().to_vec()
-        }
     }
 
     /// Trivial nonadaptive policy: the whole target set.
@@ -202,7 +186,7 @@ mod tests {
         // With |T| = 1 adaptivity cannot help: per-world profits coincide.
         let inst = instance();
         let worlds = standard_worlds(1);
-        let a = evaluate_adaptive(&inst, &mut TakeAll, &worlds);
+        let a = evaluate_adaptive(&inst, &mut DeployAll, &worlds);
         let b = evaluate_nonadaptive(&inst, &mut AllOfT, &worlds);
         assert_eq!(a.profits, b.profits);
     }
@@ -225,8 +209,8 @@ mod tests {
     fn profits_are_world_dependent_but_deterministic() {
         let inst = instance();
         let worlds = standard_worlds(2);
-        let a = evaluate_adaptive(&inst, &mut TakeAll, &worlds);
-        let b = evaluate_adaptive(&inst, &mut TakeAll, &worlds);
+        let a = evaluate_adaptive(&inst, &mut DeployAll, &worlds);
+        let b = evaluate_adaptive(&inst, &mut DeployAll, &worlds);
         assert_eq!(a.profits, b.profits);
         // Edge 1->2 has p = 0.5: some worlds profit 2-1, others 3-1.
         assert!(a.profits.iter().any(|&p| (p - 1.0).abs() < 1e-12));

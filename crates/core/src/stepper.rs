@@ -1,32 +1,26 @@
 //! Resumable adaptive policies: one committed seed — or one committed
 //! *batch* — at a time.
 //!
-//! [`AdaptivePolicy::run`](crate::AdaptivePolicy::run) drives a whole
-//! realization in one call, observing each cascade internally. A network
-//! service cannot do that — it must *pause* after deciding a seed, hand the
-//! seed to the outside world, and only continue once the realized activations
-//! come back. [`PolicyStepper`] is that inversion of control: `next_seed`
-//! examines candidates until the policy commits one (or finishes), without
-//! applying it; the driver decides how the observation happens —
-//! [`AdaptiveSession::select`] in-process, or
+//! A network service cannot run a whole realization in one call: it must
+//! *pause* after deciding a seed, hand the seed to the outside world, and
+//! only continue once the realized activations come back. [`PolicyStepper`]
+//! is that inversion of control: `next_seed` examines candidates until the
+//! policy commits one (or finishes), without applying it; the driver decides
+//! how the observation happens — [`AdaptiveSession::select`] in-process, or
 //! [`AdaptiveSession::apply_observation`] with externally reported
 //! activations.
 //!
 //! [`next_batch`](PolicyStepper::next_batch) is the low-adaptivity form of
-//! the same contract: up to `k` seeds decided in one round against **one**
-//! residual state, observed together afterwards (adaptive greedy only needs
-//! fresh observations between rounds, not between individual seeds). The
-//! default implementation loops `next_seed` without intervening
-//! observations, so every cursor-style stepper is batch-capable for free;
-//! policies with native batch selection (`ThresholdBatch`) override it. At
-//! `k = 1` a batched drive is byte-identical to the single-seed drive by
-//! construction — `next_batch(session, 1)` is exactly one `next_seed` call.
+//! the same contract: up to `k` seeds decided against **one** residual
+//! state and observed together; at `k = 1` it is exactly one `next_seed`.
 //!
-//! The adaptive policies (`Hatp`, `Ars`, `DeployAll`) implement their
-//! `run` **on top of** their stepper via [`run_stepper`], so a stepped run
-//! interleaved with external observations is byte-identical to the in-process
-//! run by construction — there is only one decision path. The end-to-end
-//! protocol test in `atpm-serve` pins this across the HTTP boundary.
+//! Every adaptive policy — `Adg`, `Addatp`, `Hatp`, `Ars`, `DeployAll` and
+//! `ThresholdBatch` — decides only in its stepper:
+//! [`AdaptivePolicy`](crate::AdaptivePolicy) is a stepper factory whose
+//! `run` is [`run_stepper`], so a stepped run interleaved with external
+//! observations is byte-identical to the in-process run by construction —
+//! there is only one decision path. The end-to-end protocol test in
+//! `atpm-serve` pins this across the HTTP boundary.
 
 use std::borrow::Cow;
 
@@ -80,25 +74,13 @@ pub trait PolicyStepper: Send {
     }
 }
 
-/// Drives a stepper to completion in-process: every committed seed is
-/// observed against the session's own realization. This is the whole body of
-/// the steppable policies' `AdaptivePolicy::run`.
-pub fn run_stepper<S: PolicyStepper + ?Sized>(
-    stepper: &mut S,
-    session: &mut AdaptiveSession<'_>,
-) -> Vec<Node> {
-    while let Some(u) = stepper.next_seed(session) {
-        session.select(u);
-    }
-    session.selected().to_vec()
-}
-
-/// Drives a stepper to completion in batched rounds of up to `k` seeds:
+/// Drives a stepper to completion in-process, in rounds of up to `k` seeds:
 /// each round's batch is decided against one residual state, then observed
-/// jointly via [`AdaptiveSession::select_batch`]. At `k = 1` this is
-/// byte-identical to [`run_stepper`] (one `next_seed` per round, one
-/// observation per seed).
-pub fn run_stepper_batched<S: PolicyStepper + ?Sized>(
+/// against the session's own realization via
+/// [`AdaptiveSession::select_batch`]. At `k = 1` every round is one
+/// `next_seed` call and one observation — the single-seed drive of
+/// [`AdaptivePolicy::run`](crate::AdaptivePolicy::run).
+pub fn run_stepper<S: PolicyStepper + ?Sized>(
     stepper: &mut S,
     session: &mut AdaptiveSession<'_>,
     k: usize,
@@ -118,6 +100,9 @@ pub fn run_stepper_batched<S: PolicyStepper + ?Sized>(
 mod tests {
     use super::*;
     use crate::instance::TpmInstance;
+    use crate::oracle::ExactOracle;
+    use crate::policies::{Addatp, Adg, Ars, DeployAll, Hatp, ThresholdBatch};
+    use crate::AdaptivePolicy;
     use atpm_graph::GraphBuilder;
 
     /// Stepper that proposes every not-yet-activated target in order.
@@ -148,34 +133,104 @@ mod tests {
         b.add_edge(0, 1, 1.0).unwrap();
         let inst = TpmInstance::new(b.build(), vec![0, 1, 3], &[1.0, 1.0, 1.0]);
         let mut session = AdaptiveSession::new(&inst, 5);
-        let selected = run_stepper(&mut TakeAll { idx: 0 }, &mut session);
+        let selected = run_stepper(&mut TakeAll { idx: 0 }, &mut session, 1);
         // 0 cascades to 1, so 1 is skipped; 3 is isolated and selected.
         assert_eq!(selected, vec![0, 3]);
         assert_eq!(session.total_activated(), 3);
     }
 
+    /// Nine probabilistic edges (few enough for the exact oracle) and five
+    /// targets, two of them too costly to keep in some worlds: decisions
+    /// differ across worlds, and early cascades can activate later targets.
+    fn mixed_instance() -> TpmInstance {
+        let mut b = GraphBuilder::new(8);
+        for (u, v, p) in [
+            (0, 1, 0.6),
+            (1, 2, 0.5),
+            (0, 3, 0.4),
+            (3, 4, 0.7),
+            (5, 6, 0.5),
+            (6, 7, 0.8),
+            (2, 5, 0.3),
+            (4, 6, 0.4),
+            (1, 3, 0.5),
+        ] {
+            b.add_edge(u, v, p).unwrap();
+        }
+        TpmInstance::new(b.build(), vec![0, 1, 3, 5, 6], &[1.2, 2.4, 1.8, 0.7, 2.0])
+    }
+
+    /// Runs `make()` in-process, then drives a second `make()`'s stepper
+    /// the way the serve protocol does: rounds of up to `k` seeds, each
+    /// observed in a twin session and fed back through
+    /// `apply_observations`, so the driven session never simulates a
+    /// cascade itself. Both drives must agree bit for bit.
+    fn assert_resumable<P: AdaptivePolicy>(
+        inst: &TpmInstance,
+        world: u64,
+        k: usize,
+        make: impl Fn() -> P,
+    ) {
+        let mut s1 = AdaptiveSession::new(inst, world);
+        let mut policy = make();
+        let in_process = policy.run(&mut s1);
+        let name = policy.name();
+
+        let mut twin = AdaptiveSession::new(inst, world);
+        let mut s2 = AdaptiveSession::new(inst, world);
+        let mut policy = make();
+        let mut stepper = policy.stepper();
+        loop {
+            let batch = stepper.next_batch(&mut s2, k);
+            if batch.is_empty() {
+                break;
+            }
+            let observed = twin.select_batch(&batch);
+            s2.apply_observations(&batch, &observed);
+        }
+        assert_eq!(s2.selected(), &in_process[..], "{name} world {world}");
+        assert_eq!(
+            s2.profit().to_bits(),
+            s1.profit().to_bits(),
+            "{name} world {world}"
+        );
+        assert_eq!(
+            s2.sampling_work(),
+            s1.sampling_work(),
+            "{name} world {world}"
+        );
+        assert_eq!(s2.rounds(), s1.rounds(), "{name} world {world}");
+    }
+
     #[test]
     fn stepped_and_external_drives_agree() {
-        // Drive the same stepper twice: once in-process, once simulating the
-        // serve protocol (observation computed by a twin session). The seed
-        // sequences and ledgers must match exactly.
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(1, 2, 0.5).unwrap();
-        let inst = TpmInstance::new(b.build(), vec![0, 2, 4], &[0.5, 0.5, 0.5]);
-        for world in 0..8u64 {
-            let mut s1 = AdaptiveSession::new(&inst, world);
-            let in_process = run_stepper(&mut TakeAll { idx: 0 }, &mut s1);
-
-            let mut oracle = AdaptiveSession::new(&inst, world);
-            let mut s2 = AdaptiveSession::new(&inst, 12345); // world unused
-            let mut stepper = TakeAll { idx: 0 };
-            while let Some(u) = stepper.next_seed(&mut s2) {
-                let observed = oracle.select(u);
-                s2.apply_observation(u, &observed);
-            }
-            assert_eq!(s2.selected(), &in_process[..], "world {world}");
-            assert_eq!(s2.profit().to_bits(), s1.profit().to_bits());
+        let inst = mixed_instance();
+        let addatp = Addatp {
+            seed: 3,
+            max_theta: 1 << 14,
+            ..Default::default()
+        };
+        for world in 0..6u64 {
+            assert_resumable(&inst, world, 1, || Adg::new(ExactOracle));
+            assert_resumable(&inst, world, 1, || addatp.clone());
+            assert_resumable(&inst, world, 1, || Addatp {
+                dynamic_eps: Some(0.2),
+                ..addatp.clone()
+            });
+            assert_resumable(&inst, world, 1, || Hatp {
+                seed: 5,
+                ..Default::default()
+            });
+            assert_resumable(&inst, world, 1, || Ars {
+                seed: 7,
+                ..Default::default()
+            });
+            assert_resumable(&inst, world, 1, || DeployAll);
+            assert_resumable(&inst, world, 4, || ThresholdBatch {
+                seed: 9,
+                batch: 4,
+                ..Default::default()
+            });
         }
     }
 
@@ -187,10 +242,13 @@ mod tests {
         let inst = TpmInstance::new(b.build(), vec![0, 2, 4], &[0.5, 0.5, 0.5]);
         for world in 0..8u64 {
             let mut s1 = AdaptiveSession::new(&inst, world);
-            let single = run_stepper(&mut TakeAll { idx: 0 }, &mut s1);
+            let mut stepper = TakeAll { idx: 0 };
+            while let Some(u) = stepper.next_seed(&mut s1) {
+                s1.select(u);
+            }
             let mut s2 = AdaptiveSession::new(&inst, world);
-            let batched = run_stepper_batched(&mut TakeAll { idx: 0 }, &mut s2, 1);
-            assert_eq!(batched, single, "world {world}");
+            let batched = run_stepper(&mut TakeAll { idx: 0 }, &mut s2, 1);
+            assert_eq!(batched, s1.selected(), "world {world}");
             assert_eq!(s2.profit().to_bits(), s1.profit().to_bits());
             assert_eq!(s2.rounds(), s1.rounds(), "world {world}");
         }
@@ -219,15 +277,11 @@ mod tests {
     fn batched_run_finishes_in_fewer_rounds() {
         let mut b = GraphBuilder::new(8);
         b.add_edge(0, 4, 0.5).unwrap();
-        let inst = TpmInstance::new(
-            b.build(),
-            vec![0, 1, 2, 3],
-            &[1.0, 1.0, 1.0, 1.0],
-        );
+        let inst = TpmInstance::new(b.build(), vec![0, 1, 2, 3], &[1.0, 1.0, 1.0, 1.0]);
         let mut s1 = AdaptiveSession::new(&inst, 3);
-        run_stepper(&mut TakeAll { idx: 0 }, &mut s1);
+        run_stepper(&mut TakeAll { idx: 0 }, &mut s1, 1);
         let mut s2 = AdaptiveSession::new(&inst, 3);
-        run_stepper_batched(&mut TakeAll { idx: 0 }, &mut s2, 4);
+        run_stepper(&mut TakeAll { idx: 0 }, &mut s2, 4);
         assert_eq!(s1.selected(), s2.selected(), "independent targets");
         assert_eq!(s1.rounds(), 4);
         assert_eq!(s2.rounds(), 1);

@@ -29,9 +29,9 @@
 //! (a client that lost the response can safely re-ask), and the residual
 //! graph is untouched until the observation. Genuinely conflicting calls
 //! (observing with nothing pending, or for the wrong seeds) are rejected
-//! with 409 rather than corrupting the run — the serve protocol stays
-//! byte-identical to the in-process [`run_stepper`](atpm_core::run_stepper)
-//! drive.
+//! with 409 rather than corrupting the run — a session driven with batches
+//! of `k` stays byte-identical to the in-process
+//! [`run_stepper`](atpm_core::run_stepper)`(stepper, session, k)` drive.
 //!
 //! Durability: with [`attach_journal`](SessionManager::attach_journal), every
 //! committed transition (create / new batch / observation / delete) is

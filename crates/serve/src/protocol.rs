@@ -23,7 +23,7 @@
 //! ```
 
 use atpm_core::policies::{Ars, DeployAll, Hatp, ThresholdBatch};
-use atpm_core::PolicyStepper;
+use atpm_core::{AdaptivePolicy, PolicyStepper};
 use atpm_graph::Node;
 
 use crate::json::Json;
