@@ -13,6 +13,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use atpm_graph::Node;
 use atpm_ris::CoverageScratch;
 
+use crate::http;
 use crate::json::Json;
 use crate::protocol::{
     ApiError, CreateSessionReq, Ledger, NextBatchReq, ObserveBatchReq, ObserveReq, SnapshotReq,
@@ -173,8 +174,12 @@ impl ProtocolClient for LocalClient {
 
 /// Blocking HTTP/1.1 client over one keep-alive connection.
 pub struct HttpClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: BufReader<TcpStream>,
+    /// Request bytes, reused across calls: head and body are encoded here
+    /// and leave in one write, so a request is one segment on the wire.
+    out: Vec<u8>,
+    /// Response head line, reused across lines and calls.
+    line: Vec<u8>,
 }
 
 impl HttpClient {
@@ -182,49 +187,72 @@ impl HttpClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<HttpClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
         Ok(HttpClient {
-            reader: BufReader::new(stream),
-            writer,
+            stream: BufReader::new(stream),
+            out: Vec::new(),
+            line: Vec::new(),
         })
     }
 
     fn exchange(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
+        self.out.clear();
         write!(
-            self.writer,
+            self.out,
             "{method} {path} HTTP/1.1\r\nhost: atpm\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
             body.len()
         )?;
-        self.writer.write_all(body)?;
-        self.writer.flush()?;
+        self.out.extend_from_slice(body);
+        self.stream.get_ref().write_all(&self.out)?;
 
-        // Status line.
-        let mut status_line = String::new();
-        read_line(&mut self.reader, &mut status_line)?;
-        let status: u16 = status_line
-            .split_ascii_whitespace()
-            .nth(1)
+        // Status line, then headers up to the blank line, all within the
+        // server's own head budget.
+        let mut budget = http::MAX_HEAD;
+        self.read_head_line(&mut budget)?;
+        let status: u16 = std::str::from_utf8(&self.line)
+            .ok()
+            .and_then(|line| line.split_ascii_whitespace().nth(1))
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-        // Headers.
+            .ok_or_else(|| invalid("bad status line"))?;
         let mut content_length = 0usize;
         loop {
-            let mut line = String::new();
-            read_line(&mut self.reader, &mut line)?;
-            if line.is_empty() {
+            self.read_head_line(&mut budget)?;
+            if self.line.is_empty() {
                 break;
             }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                    })?;
-                }
+            let Some(colon) = self.line.iter().position(|&b| b == b':') else {
+                continue;
+            };
+            if self.line[..colon]
+                .trim_ascii()
+                .eq_ignore_ascii_case(b"content-length")
+            {
+                content_length = std::str::from_utf8(&self.line[colon + 1..])
+                    .ok()
+                    .and_then(|v| v.trim().parse().ok())
+                    .filter(|&len| len <= http::MAX_BODY)
+                    .ok_or_else(|| invalid("bad content-length"))?;
             }
         }
         let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        self.stream.read_exact(&mut body)?;
         Ok((status, body))
+    }
+
+    /// Reads one response head line into `self.line`, charging it to
+    /// `budget`. EOF mid-head is an error.
+    fn read_head_line(&mut self, budget: &mut usize) -> io::Result<()> {
+        self.line.clear();
+        let n = http::read_line_crlf(&mut self.stream, &mut self.line, *budget)?;
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-response",
+            ));
+        }
+        *budget = budget
+            .checked_sub(n)
+            .ok_or_else(|| invalid("response head too large"))?;
+        Ok(())
     }
 
     /// GETs `path` and returns `(status, body)` as text — the non-JSON
@@ -232,24 +260,13 @@ impl HttpClient {
     /// text, not a protocol object).
     pub fn get_text(&mut self, path: &str) -> io::Result<(u16, String)> {
         let (status, bytes) = self.exchange("GET", path, b"")?;
-        let text = String::from_utf8(bytes)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response body"))?;
+        let text = String::from_utf8(bytes).map_err(|_| invalid("non-UTF-8 response body"))?;
         Ok((status, text))
     }
 }
 
-fn read_line(reader: &mut BufReader<TcpStream>, out: &mut String) -> io::Result<()> {
-    let mut byte = [0u8; 1];
-    loop {
-        reader.read_exact(&mut byte)?;
-        if byte[0] == b'\n' {
-            if out.ends_with('\r') {
-                out.pop();
-            }
-            return Ok(());
-        }
-        out.push(byte[0] as char);
-    }
+fn invalid(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 impl ProtocolClient for HttpClient {
@@ -349,6 +366,78 @@ mod tests {
         assert_eq!(from_http.profit.to_bits(), from_local.profit.to_bits());
         assert!(from_http.rounds >= 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn http_client_request_bytes_are_pinned() {
+        use std::net::TcpListener;
+        const POST: &[u8] = b"POST /sessions/s1/observe HTTP/1.1\r\nhost: atpm\r\n\
+            content-type: application/json\r\ncontent-length: 10\r\n\r\n{\"seed\":3}";
+        const GET: &[u8] = b"GET /metrics HTTP/1.1\r\nhost: atpm\r\n\
+            content-type: application/json\r\ncontent-length: 0\r\n\r\n";
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut got = Vec::new();
+            for (len, reply) in [
+                (
+                    POST.len(),
+                    &b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\nx-other: 1\r\n\r\n{\"ok\":true}"[..],
+                ),
+                (GET.len(), &b"HTTP/1.1 200 OK\ncontent-length:3\n\nok\n"[..]),
+            ] {
+                let mut request = vec![0u8; len];
+                conn.read_exact(&mut request).unwrap();
+                got.push(request);
+                conn.write_all(reply).unwrap();
+            }
+            // Nothing follows the two requests.
+            let mut rest = Vec::new();
+            conn.read_to_end(&mut rest).unwrap();
+            (got, rest)
+        });
+
+        let mut client = HttpClient::connect(addr).unwrap();
+        let resp = client
+            .call(
+                "POST",
+                "/sessions/s1/observe",
+                &Json::obj([("seed", Json::UInt(3))]),
+            )
+            .unwrap();
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(client.get_text("/metrics").unwrap(), (200, "ok\n".into()));
+        drop(client);
+
+        let (got, rest) = peer.join().unwrap();
+        assert_eq!(got[0], POST, "{}", String::from_utf8_lossy(&got[0]));
+        assert_eq!(got[1], GET, "{}", String::from_utf8_lossy(&got[1]));
+        assert!(rest.is_empty(), "stray bytes: {rest:?}");
+    }
+
+    #[test]
+    fn http_client_caps_the_response_head() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = [0u8; 64];
+            let _ = conn.read(&mut request);
+            // A header line that never ends, well past the head cap.
+            let _ = conn.write_all(b"HTTP/1.1 200 OK\r\nx-pad: ");
+            let _ = conn.write_all(&vec![b'a'; 2 * http::MAX_HEAD]);
+            // Then EOF, so an uncapped reader fails on EOF instead of hanging.
+            let _ = conn.shutdown(std::net::Shutdown::Write);
+            let mut rest = Vec::new();
+            let _ = conn.read_to_end(&mut rest);
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        let err = client.get_text("/healthz").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        drop(client);
+        peer.join().unwrap();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Hand-rolled HTTP/1.1 request parsing and response writing — just enough
+//! Hand-rolled HTTP/1.1 request parsing and response encoding — just enough
 //! protocol for a loopback JSON API, std-only.
 //!
 //! Supported: request line + headers, `Content-Length` bodies, keep-alive
@@ -10,9 +10,8 @@
 //! Two entry points share one head parser, so the two server backends
 //! cannot diverge on protocol semantics:
 //!
-//! * [`read_request`] — the blocking path (pool backend, `HttpClient`
-//!   responses): pulls lines off a `BufRead` until the head completes,
-//!   then `read_exact`s the body.
+//! * [`read_request`] — the blocking path (pool backend): pulls lines off
+//!   a `BufRead` until the head completes, then `read_exact`s the body.
 //! * [`frame_request`] + [`parse_frame`] — the incremental path (epoll
 //!   backend): [`frame_request`] scans a connection's receive buffer and
 //!   says whether a complete request is present (and how long it is)
@@ -20,6 +19,9 @@
 //!   worker thread. Both funnel into the same [`parse_head`], so a given
 //!   byte stream yields the same request — or the same error status — on
 //!   either backend.
+//!
+//! Responses are encoded once, by [`encode_response_ct`] and its JSON
+//! wrappers, into one buffer that each backend sends with a single write.
 
 use std::io::{self, BufRead, Write};
 
@@ -414,9 +416,11 @@ pub fn parse_frame(frame: &[u8]) -> Result<Request, (u16, String)> {
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line into `out` (terminator
-/// stripped). Returns bytes consumed; 0 means EOF. Errors if the line
-/// exceeds `limit`.
-fn read_line_crlf<R: BufRead>(
+/// stripped). Returns bytes consumed; 0 means EOF. Errors with
+/// `InvalidData` once more than `limit` bytes pass without a line end.
+/// Shared by the server's request reader and `HttpClient`'s response
+/// reader.
+pub(crate) fn read_line_crlf<R: BufRead>(
     stream: &mut R,
     out: &mut Vec<u8>,
     limit: usize,
@@ -449,78 +453,30 @@ fn read_line_crlf<R: BufRead>(
     }
 }
 
-/// Writes a JSON response. `keep_alive` controls the `Connection` header;
-/// the caller decides whether to actually keep reading.
-pub fn write_response<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response_with(stream, status, body, keep_alive, &[])
-}
-
-/// [`write_response`] plus caller-supplied extra headers (name must be
-/// lowercase; emitted between the fixed headers and the blank line). Used
-/// for `Retry-After` on overload sheds.
-pub fn write_response_with<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-    extra: &[(&str, &str)],
-) -> io::Result<()> {
-    write_response_ct(stream, status, "application/json", body, keep_alive, extra)
-}
-
-/// The fully general response writer: JSON callers go through
-/// [`write_response_with`] (which pins the historical `application/json`
-/// header bytes); `GET /metrics` supplies the Prometheus exposition
-/// content type.
-pub fn write_response_ct<W: Write>(
-    stream: &mut W,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    extra: &[(&str, &str)],
-) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// [`write_response`] into a fresh byte vector — the form worker threads
-/// hand back to the reactor as a [`Reply`](atpm_net::Reply).
+/// Encodes a JSON response into one buffer, so it goes out in one write.
+/// `keep_alive` controls the `Connection` header; the caller decides
+/// whether to actually keep reading.
 pub fn encode_response(status: u16, body: &[u8], keep_alive: bool) -> Vec<u8> {
     encode_response_with(status, body, keep_alive, &[])
 }
 
-/// [`encode_response`] with extra headers (see [`write_response_with`]).
+/// [`encode_response`] plus caller-supplied extra headers (name must be
+/// lowercase; emitted between the fixed headers and the blank line). Used
+/// for `X-Request-Id` and for `Retry-After` on 503s.
 pub fn encode_response_with(
     status: u16,
     body: &[u8],
     keep_alive: bool,
     extra: &[(&str, &str)],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 96);
-    write_response_with(&mut out, status, body, keep_alive, extra)
-        .expect("writing to a Vec cannot fail");
-    out
+    encode_response_ct(status, "application/json", body, keep_alive, extra)
 }
 
-/// [`encode_response`] with an explicit content type (see
-/// [`write_response_ct`]).
+/// The one response encoder: JSON callers go through
+/// [`encode_response_with`] (which pins the historical `application/json`
+/// header bytes); `GET /metrics` supplies the Prometheus exposition
+/// content type. Both server backends send what this returns with a single
+/// `write_all`.
 pub fn encode_response_ct(
     status: u16,
     content_type: &str,
@@ -528,9 +484,20 @@ pub fn encode_response_ct(
     keep_alive: bool,
     extra: &[(&str, &str)],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 96);
-    write_response_ct(&mut out, status, content_type, body, keep_alive, extra)
-        .expect("writing to a Vec cannot fail");
+    let mut out = Vec::with_capacity(body.len() + 128);
+    write!(
+        out,
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+        reason(status),
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
+    )
+    .expect("writing to a Vec cannot fail");
+    for (name, value) in extra {
+        write!(out, "{name}: {value}\r\n").expect("writing to a Vec cannot fail");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
     out
 }
 
@@ -746,9 +713,7 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, b"{}", true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(encode_response(200, b"{}", true)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
@@ -858,11 +823,29 @@ mod tests {
     }
 
     #[test]
-    fn encode_response_matches_write_response() {
-        let mut via_writer = Vec::new();
-        write_response(&mut via_writer, 410, b"{}", false).unwrap();
-        assert_eq!(encode_response(410, b"{}", false), via_writer);
-        assert!(String::from_utf8(via_writer).unwrap().contains("410 Gone"));
+    fn encoder_golden_bytes() {
+        // The exact wire bytes, pinned: both backends send these unchanged.
+        assert_eq!(
+            encode_response(410, b"{}", false),
+            b"HTTP/1.1 410 Gone\r\ncontent-type: application/json\r\n\
+              content-length: 2\r\nconnection: close\r\n\r\n{}"
+        );
+        assert_eq!(
+            encode_response_with(
+                503,
+                b"{}",
+                true,
+                &[("x-request-id", "r1"), ("retry-after", "1")]
+            ),
+            b"HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+              content-length: 2\r\nconnection: keep-alive\r\nx-request-id: r1\r\n\
+              retry-after: 1\r\n\r\n{}"
+        );
+        assert_eq!(
+            encode_response_ct(200, "text/plain", b"ok\n", true, &[]),
+            b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\n\
+              content-length: 3\r\nconnection: keep-alive\r\n\r\nok\n"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! *sessions* comes from the per-session locks in [`SessionManager`].
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,7 +32,7 @@ use atpm_obs::tracer;
 use atpm_ris::CoverageScratch;
 
 use crate::http::{
-    read_request, write_response, write_response_ct, write_response_with, ReadOutcome, Request,
+    encode_response, encode_response_ct, encode_response_with, read_request, ReadOutcome, Request,
 };
 use crate::journal::{FsyncPolicy, Journal, RealIo};
 use crate::json::Json;
@@ -354,6 +354,31 @@ pub(crate) fn respond(
             RespBody::Json(Json::obj([("error", Json::Str(e.message))])),
         ),
     }
+}
+
+/// Encodes [`respond`]'s answer in wire form, for both backends. 503s
+/// (degraded journal) always carry Retry-After, after the request id, so
+/// the two backends agree byte-for-byte.
+pub(crate) fn encode_reply(status: u16, body: &RespBody, keep_alive: bool, rid: &str) -> Vec<u8> {
+    let mut extra = vec![("x-request-id", rid)];
+    if status == 503 {
+        extra.push(("retry-after", "1"));
+    }
+    match body {
+        RespBody::Json(json) => {
+            encode_response_with(status, json.encode().as_bytes(), keep_alive, &extra)
+        }
+        RespBody::Text(ct, text) => {
+            encode_response_ct(status, ct, text.as_bytes(), keep_alive, &extra)
+        }
+    }
+}
+
+/// A malformed request's answer in wire form, matching the router's error
+/// shape; the connection closes after it.
+pub(crate) fn error_reply(status: u16, message: &str) -> Vec<u8> {
+    let body = Json::obj([("error", Json::Str(message.to_string()))]).encode();
+    encode_response(status, body.as_bytes(), false)
 }
 
 /// `GET /debug/profile?seconds=N`: a windowed CPU profile of the running
@@ -910,8 +935,7 @@ fn serve_connection(
         match read_request(&mut reader)? {
             ReadOutcome::Closed => return Ok(()),
             ReadOutcome::Malformed(status, message) => {
-                let body = Json::obj([("error", Json::Str(message))]).encode();
-                write_response(&mut writer, status, body.as_bytes(), false)?;
+                writer.write_all(&error_reply(status, &message))?;
                 return Ok(());
             }
             ReadOutcome::Ok(req) => {
@@ -932,24 +956,7 @@ fn serve_connection(
                     t0.elapsed(),
                 );
                 let keep = !req.wants_close();
-                // 503s (shed, degraded journal) always carry Retry-After;
-                // header order matches the epoll worker byte-for-byte.
-                let mut extra = vec![("x-request-id", rid.as_str())];
-                if status == 503 {
-                    extra.push(("retry-after", "1"));
-                }
-                match &body {
-                    RespBody::Json(json) => write_response_with(
-                        &mut writer,
-                        status,
-                        json.encode().as_bytes(),
-                        keep,
-                        &extra,
-                    )?,
-                    RespBody::Text(ct, text) => {
-                        write_response_ct(&mut writer, status, ct, text.as_bytes(), keep, &extra)?
-                    }
-                }
+                writer.write_all(&encode_reply(status, &body, keep, &rid))?;
                 if !keep {
                     return Ok(());
                 }
