@@ -241,6 +241,7 @@ impl GraphView for Graph {
         true
     }
 
+    #[inline]
     fn sample_alive<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Node> {
         let n = self.num_nodes();
         if n == 0 {
@@ -287,9 +288,11 @@ fn uniform_index<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Node {
     (((rng.gen::<u64>() as u128) * (n as u128)) >> 64) as Node
 }
 
-/// When fewer than this fraction of nodes remain alive, uniform sampling
-/// switches from rejection to an explicit alive list (rebuilt lazily).
-const REJECTION_MIN_FRACTION: f64 = 1.0 / 64.0;
+/// When fewer than `1 / REJECTION_MAX_DRAWS` of the nodes remain alive,
+/// uniform sampling switches from rejection to an explicit alive list
+/// (rebuilt lazily). The test is the exact integer form
+/// `n_alive * REJECTION_MAX_DRAWS >= n` (saturating, so it cannot wrap).
+const REJECTION_MAX_DRAWS: usize = 64;
 
 /// A view of a base [`Graph`] from which some nodes have been removed.
 ///
@@ -429,16 +432,16 @@ impl GraphView for ResidualGraph<'_> {
         Some(&self.alive)
     }
 
+    #[inline]
     fn sample_alive<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Node> {
         let n = self.base.num_nodes();
         if self.n_alive == 0 {
             return None;
         }
-        let frac = self.n_alive as f64 / n as f64;
-        if frac >= REJECTION_MIN_FRACTION {
+        if self.n_alive.saturating_mul(REJECTION_MAX_DRAWS) >= n {
             // Rejection sampling: uniform over alive nodes (up to the
             // multiply-shift base draw's < 2^-40 bias), expected
-            // 1/frac < 64 draws.
+            // n / n_alive ≤ 64 draws.
             loop {
                 let u = uniform_index(rng, n);
                 if self.is_alive(u) {
@@ -601,6 +604,32 @@ mod tests {
         let sv = r.sample_view();
         for u in 0..130u32 {
             assert_eq!(sv.is_alive(u), r.is_alive(u), "node {u}");
+        }
+    }
+
+    /// `sample_alive` switches from rejection to the alive list when fewer
+    /// than `n / 64` nodes are alive. Ten alive nodes on 639, 640 and 641
+    /// nodes put `n_alive * 64` at `n + 1`, `n` and `n - 1`: rejection,
+    /// rejection, list. The draws were captured before the switch became an
+    /// integer test.
+    #[test]
+    fn sample_alive_draws_are_pinned_at_the_rejection_boundary() {
+        for (n, pinned) in [
+            (639, 17211101599763094501u64),
+            (640, 358281011383424933),
+            (641, 11375136683377246309),
+        ] {
+            let g = line_graph(n);
+            let mut r = ResidualGraph::new(&g);
+            r.remove_all((0..n as Node).filter(|u| u % 64 != 5));
+            assert_eq!(r.num_alive(), 10);
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let digest = (0..256).fold(0xCBF2_9CE4_8422_2325u64, |h, _| {
+                let u = r.sample_alive(&mut rng).unwrap();
+                assert!(r.is_alive(u));
+                (h ^ u as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            assert_eq!(digest, pinned, "n = {n}");
         }
     }
 

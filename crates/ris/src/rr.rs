@@ -224,22 +224,24 @@ impl RrSampler {
                 // path is disabled they fall through to the per-edge array,
                 // which is uniform there anyway.)
                 //
-                // Short neighborhoods stage accepts branchlessly: the
-                // accept decision is data-dependent noise the predictor
-                // can't learn, so it becomes an increment instead of a
-                // branch; only the (rare) accepted edges take one. (The
-                // staged form draws a coin even for dead sources, where the
-                // long-form loop short-circuits — same acceptance law, the
-                // coins are independent either way.)
-                const STAGE: usize = 16;
-                if sources.len() <= STAGE {
-                    let mut cand = [0 as Node; STAGE];
-                    let mut k = 0usize;
-                    for &w in sources {
-                        cand[k] = w;
-                        k += usize::from(threshold_accept(rng.next_u32(), thr) && sv.is_alive(w));
+                // Short neighborhoods draw their coins into an accept
+                // bitmask, then visit only the set bits. The accept
+                // decision is data-dependent noise the predictor can't
+                // learn, so it becomes a shift-or instead of a branch; only
+                // the (rare) accepted edges take one, in ascending span
+                // order. (This form draws a coin even for dead sources,
+                // where the long-form loop short-circuits — same acceptance
+                // law, the coins are independent either way.)
+                const SHORT: usize = 16;
+                if sources.len() <= SHORT {
+                    let mut accept = 0u32;
+                    for (i, &w) in sources.iter().enumerate() {
+                        let hit = threshold_accept(rng.next_u32(), thr) & sv.is_alive(w);
+                        accept |= u32::from(hit) << i;
                     }
-                    for &w in &cand[..k] {
+                    while accept != 0 {
+                        let w = sources[accept.trailing_zeros() as usize];
+                        accept &= accept - 1;
                         if self.visit(w) {
                             sv.prefetch_meta(w);
                             out.push(w);

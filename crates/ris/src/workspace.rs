@@ -165,10 +165,17 @@ impl EpochMarks {
 /// only as [`crate::sampler::default_threads`]'s interpretation of the
 /// `ATPM_MAX_THREADS` environment variable and the `ExpConfig` plumbing in
 /// the bench crate — large machines are no longer silently throttled.
+///
+/// The machine's parallelism is read once per process: on Linux
+/// `available_parallelism` reads cgroup files, and every `run_sharded`
+/// call asks.
 pub fn available_threads(cap: Option<usize>) -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let avail = *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    });
     match cap {
         Some(c) => avail.min(c.max(1)),
         None => avail,

@@ -561,8 +561,7 @@ impl RoundRec {
     fn from_json(v: &Json) -> Result<RoundRec, ApiError> {
         if let Some(req) = v.get("req") {
             return Ok(RoundRec {
-                k: v
-                    .get("k")
+                k: v.get("k")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| ApiError::bad_request("round missing 'k'"))?
                     as usize,

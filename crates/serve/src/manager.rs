@@ -980,8 +980,14 @@ mod tests {
         let a = drive_to_completion(&m, &single);
         let b = drive_batched(&m, &batched, 4);
         assert_eq!(
-            a.selected.iter().copied().collect::<std::collections::HashSet<_>>(),
-            b.selected.iter().copied().collect::<std::collections::HashSet<_>>(),
+            a.selected
+                .iter()
+                .copied()
+                .collect::<std::collections::HashSet<_>>(),
+            b.selected
+                .iter()
+                .copied()
+                .collect::<std::collections::HashSet<_>>(),
             "DeployAll takes every remaining target either way"
         );
         assert_eq!(a.profit.to_bits(), b.profit.to_bits());
@@ -1293,11 +1299,8 @@ mod tests {
             m.attach_journal(Arc::new(journal));
             let token = create(&m, PolicySpec::DeployAll, 13);
             let first = m.next_batch(&token, 3).unwrap();
-            m.observe_batch(
-                &token,
-                &ObserveBatchReq::Simulate { seeds: first.seeds },
-            )
-            .unwrap();
+            m.observe_batch(&token, &ObserveBatchReq::Simulate { seeds: first.seeds })
+                .unwrap();
             let pending = m.next_batch(&token, 3).unwrap().seeds;
             (token, pending)
         };

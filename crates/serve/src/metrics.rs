@@ -297,7 +297,11 @@ mod tests {
             ("POST", "/sessions/s1/next", "session_next"),
             ("POST", "/sessions/s1/next_batch", "session_next_batch"),
             ("POST", "/sessions/s1/observe", "session_observe"),
-            ("POST", "/sessions/s1/observe_batch", "session_observe_batch"),
+            (
+                "POST",
+                "/sessions/s1/observe_batch",
+                "session_observe_batch",
+            ),
             ("GET", "/sessions/s1/ledger", "session_ledger"),
             ("DELETE", "/sessions/s1", "session_delete"),
             ("GET", "/debug/profile", "debug_profile"),

@@ -498,7 +498,11 @@ fn batch_routes_echo_request_ids_and_land_in_the_event_log() {
             r#"{"snapshot":"g","policy":{"name":"deploy_all"},"world_seed":3}"#,
         );
         assert_eq!(status, 201, "{backend:?}");
-        let token = created.get("session").and_then(Json::as_str).unwrap().to_string();
+        let token = created
+            .get("session")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
 
         let (status, head, resp) = post(
             &mut stream,
