@@ -92,4 +92,10 @@ pub trait NonadaptivePolicy {
 
     /// Selects the seed set on the original graph.
     fn select(&mut self, instance: &TpmInstance) -> Vec<Node>;
+
+    /// RR sets drawn by the last [`select`](Self::select); 0 for policies
+    /// that do not sample.
+    fn last_work(&self) -> u64 {
+        0
+    }
 }

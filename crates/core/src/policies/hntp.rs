@@ -42,6 +42,10 @@ impl NonadaptivePolicy for Hntp {
         "HNTP"
     }
 
+    fn last_work(&self) -> u64 {
+        self.last_work
+    }
+
     fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
         let g = instance.graph();
         let n = g.num_nodes();
@@ -128,6 +132,18 @@ mod tests {
         for profit in &s.profits {
             assert!((profit - 2.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn summary_reports_the_rr_sets_drawn() {
+        let inst = star_instance();
+        let mut p = Hntp::new(Hatp {
+            seed: 3,
+            ..Default::default()
+        });
+        let s = evaluate_nonadaptive(&inst, &mut p, &standard_worlds(1));
+        assert!(s.sampling_work > 0);
+        assert_eq!(s.sampling_work, p.last_work);
     }
 
     #[test]

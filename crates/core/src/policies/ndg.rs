@@ -45,9 +45,14 @@ impl NonadaptivePolicy for Ndg {
         "NDG"
     }
 
+    fn last_work(&self) -> u64 {
+        self.last_work
+    }
+
     fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
         let target: Vec<Node> = instance.target().to_vec();
         if target.is_empty() {
+            self.last_work = 0;
             return Vec::new();
         }
         let c = generate_batch(instance.graph(), self.theta, self.seed, self.threads);
@@ -88,6 +93,9 @@ mod tests {
         let inst = star_instance();
         let mut p = Ndg::new(20_000, 1, 2);
         assert_eq!(p.select(&inst), vec![0]);
+        // The batch is all it draws, and the runner reports it.
+        let s = crate::runner::evaluate_nonadaptive(&inst, &mut p, &[1]);
+        assert_eq!(s.sampling_work, 20_000);
     }
 
     #[test]

@@ -71,6 +71,10 @@ impl NonadaptivePolicy for Nsg {
         "NSG"
     }
 
+    fn last_work(&self) -> u64 {
+        self.last_work
+    }
+
     fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
         let c = generate_batch(instance.graph(), self.theta, self.seed, self.threads);
         self.last_work = c.len() as u64;

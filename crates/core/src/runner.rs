@@ -145,7 +145,7 @@ pub fn evaluate_nonadaptive<P: NonadaptivePolicy + ?Sized>(
         seeds_per_run: vec![seeds.len(); world_seeds.len()],
         profits,
         decision_time,
-        sampling_work: 0,
+        sampling_work: policy.last_work(),
     }
 }
 

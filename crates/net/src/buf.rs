@@ -7,6 +7,7 @@
 //! not an error), and [`read_nonblocking`] slurps whatever the kernel has
 //! buffered without ever parking the reactor thread.
 
+use std::cell::RefCell;
 use std::io::{self, Read, Write};
 
 use crate::fault::{gate, Site};
@@ -33,6 +34,12 @@ impl WriteBuf {
             self.pos = 0;
         }
         self.data.extend_from_slice(bytes);
+    }
+
+    /// The bytes not yet accepted by the socket, as one vector.
+    pub fn into_pending(mut self) -> Vec<u8> {
+        self.data.drain(..self.pos);
+        self.data
     }
 
     /// Bytes not yet accepted by the socket.
@@ -92,6 +99,16 @@ impl WriteBuf {
     }
 }
 
+impl From<Vec<u8>> for WriteBuf {
+    /// A buffer holding `bytes`, queued for the peer without a copy.
+    fn from(bytes: Vec<u8>) -> WriteBuf {
+        WriteBuf {
+            data: bytes,
+            pos: 0,
+        }
+    }
+}
+
 /// What a nonblocking read pass observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadStatus {
@@ -104,6 +121,17 @@ pub enum ReadStatus {
     LimitReached,
 }
 
+/// Bytes one read pass asks the kernel for.
+const CHUNK: usize = 16 * 1024;
+
+thread_local! {
+    /// Landing zone for [`read_nonblocking`]: zeroed once per thread and
+    /// reused by every call, so a read pass copies out only the bytes it
+    /// received instead of zero-filling a fresh chunk of the caller's
+    /// buffer first.
+    static LANDING: RefCell<Box<[u8]>> = RefCell::new(vec![0; CHUNK].into_boxed_slice());
+}
+
 /// Reads everything currently available from `stream` into `buf`, up to
 /// `limit` total buffered bytes. The stream must be in nonblocking mode.
 pub fn read_nonblocking(
@@ -111,41 +139,38 @@ pub fn read_nonblocking(
     buf: &mut Vec<u8>,
     limit: usize,
 ) -> io::Result<ReadStatus> {
-    const CHUNK: usize = 16 * 1024;
-    loop {
-        if buf.len() >= limit {
-            return Ok(ReadStatus::LimitReached);
-        }
-        let old = buf.len();
-        let mut want = CHUNK.min(limit - old);
-        // Fault gate: injected errors flow through the arms below exactly
-        // like kernel ones; a short-read cap shrinks this pass's chunk.
-        let attempt = match gate(Site::StreamRead) {
-            Ok(cap) => {
-                if let Some(c) = cap {
-                    want = want.min(c);
+    LANDING.with(|landing| {
+        let chunk = &mut landing.borrow_mut()[..];
+        loop {
+            if buf.len() >= limit {
+                return Ok(ReadStatus::LimitReached);
+            }
+            let mut want = CHUNK.min(limit - buf.len());
+            // Fault gate: injected errors flow through the arms below
+            // exactly like kernel ones; a short-read cap shrinks this
+            // pass's chunk.
+            let attempt = match gate(Site::StreamRead) {
+                Ok(cap) => {
+                    if let Some(c) = cap {
+                        want = want.min(c);
+                    }
+                    stream.read(&mut chunk[..want])
                 }
-                buf.resize(old + want, 0);
-                stream.read(&mut buf[old..])
-            }
-            Err(e) => Err(e),
-        };
-        match attempt {
-            Ok(0) => {
-                buf.truncate(old);
-                return Ok(ReadStatus::Eof);
-            }
-            Ok(n) => buf.truncate(old + n),
-            Err(e) => {
-                buf.truncate(old);
-                return match e.kind() {
-                    io::ErrorKind::WouldBlock => Ok(ReadStatus::WouldBlock),
-                    io::ErrorKind::Interrupted => continue,
-                    _ => Err(e),
-                };
+                Err(e) => Err(e),
+            };
+            match attempt {
+                Ok(0) => return Ok(ReadStatus::Eof),
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e) => {
+                    return match e.kind() {
+                        io::ErrorKind::WouldBlock => Ok(ReadStatus::WouldBlock),
+                        io::ErrorKind::Interrupted => continue,
+                        _ => Err(e),
+                    };
+                }
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 //! The policy is *thread-local* by design: the chaos harness spawns the
 //! reactor thread itself, installs the plan there, and drives traffic from
 //! ordinary client threads whose sockets stay honest. Injection is
-//! therefore exactly scoped to the code under test.
+//! therefore exactly scoped to the code under test. A reply that a worker
+//! writes to its socket directly passes the `StreamWrite` gate on that
+//! worker's thread, so faults for it are installed there.
 
 use std::cell::RefCell;
 use std::io;

@@ -2,29 +2,40 @@
 //! multiplexed connections.
 //!
 //! The reactor owns a nonblocking `TcpListener` plus every accepted
-//! `TcpStream`, and drives each connection through a small state machine:
+//! connection, and drives each one through a small state machine:
 //!
 //! ```text
 //!   readable ──> read_buf ──> Driver::slice ──┬── Partial: wait for bytes
 //!                                             ├── Frame: Driver::dispatch
 //!                                             └── Fatal:  queue reply, close
-//!   dispatch ──> busy (reads paused) ──> ReplyQueue::push (any thread)
-//!        ──> waker ──> write_buf ──> flush, EPOLLOUT on short write
-//!        ──> drained ──> parse next pipelined frame or resume reading
+//!   dispatch ──┬── direct (nothing else pending; reads stay armed)
+//!              │     ──> ReplyQueue::push writes the socket on its own
+//!              │         thread ──> idle; next readable event reads on
+//!              └── queued (pipelined bytes, unflushed output, half-close;
+//!                    or the peer sent bytes mid-flight: reads paused)
+//!                    ──> ReplyQueue::push ──> waker ──> write_buf ──> flush,
+//!                        EPOLLOUT on short write ──> drained ──> parse the
+//!                        next pipelined frame or resume reading
 //! ```
 //!
-//! Exactly one frame per connection is in flight at a time: while `busy`
-//! the reactor neither reads nor parses that connection (natural
+//! Exactly one frame per connection is in flight at a time: while one is,
+//! the reactor neither parses nor reads that connection (natural
 //! backpressure, and it keeps pipelined requests sequentially ordered —
 //! the same observable behavior as a blocking one-thread-per-connection
-//! server). Responses are produced on *other* threads and land in the
-//! shard's [`ReplyQueue`]; the queue's [`Waker`] pulls the reactor out of
-//! `epoll_wait` to write them. A hashed [`TimerWheel`] drives periodic
-//! driver ticks and optional per-connection idle deadlines.
+//! server). Responses are produced on *other* threads and delivered with
+//! [`ReplyQueue::push`]. When the reactor marked the flight *direct*, the
+//! replying thread writes the response to the socket itself and the
+//! reactor is never woken: level-triggered READ interest stays armed, so
+//! the peer's next request is the next event. Anything else — a short
+//! write, a closing reply, a write error, or a flight the reactor took
+//! back because the peer sent more bytes — lands in the shard's queue, and
+//! the queue's [`Waker`] pulls the reactor out of `epoll_wait` to finish
+//! it. A hashed [`TimerWheel`] drives periodic driver ticks and optional
+//! per-connection idle deadlines.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,11 +63,10 @@ fn conn_token(slot: u32, gen: u32) -> u64 {
     TOKEN_BASE + slot as u64 + ((gen as u64) << 32)
 }
 
-fn token_parts(token: u64) -> (u32, u32) {
-    (
-        ((token & 0xFFFF_FFFF) - TOKEN_BASE) as u32,
-        (token >> 32) as u32,
-    )
+fn token_slot(token: u64) -> u32 {
+    // Wrapping: an id below `TOKEN_BASE` (never issued) maps to a slot far
+    // past any table, so its lookup fails instead of panicking.
+    (token & 0xFFFF_FFFF).wrapping_sub(TOKEN_BASE) as u32
 }
 
 /// Verdict of [`Driver::slice`] over a connection's read buffer.
@@ -89,21 +99,107 @@ pub struct Reply {
     pub id: Option<String>,
 }
 
-/// The completion side of a shard: worker threads push, the waker fires,
-/// the reactor drains. One per reactor.
+// Flight states of a connection, held in its `Shared` record:
+// - `IDLE → DIRECT | QUEUED` at dispatch (reactor);
+// - `DIRECT → WRITING → IDLE | QUEUED` in `ReplyQueue::push` (replying
+//   thread);
+// - `DIRECT → QUEUED` when the peer sends bytes mid-flight, and
+//   `QUEUED → IDLE` when the reactor delivers a queued reply (reactor);
+// - anything `→ CLOSED` when the reactor lets go of the connection.
+// Only a replying thread leaves `WRITING`, and only after one nonblocking
+// write pass, so the reactor waits it out instead of racing it.
+
+/// No frame in flight.
+const IDLE: u8 = 0;
+/// In flight; the replying thread may write the reply itself.
+const DIRECT: u8 = 1;
+/// In flight; a replying thread is writing the reply right now.
+const WRITING: u8 = 2;
+/// In flight; the reply goes through the queue and the reactor writes it.
+const QUEUED: u8 = 3;
+/// The reactor closed the connection or exited; nobody writes it again.
+const CLOSED: u8 = 4;
+
+/// The part of a connection that replying threads may touch: the stream,
+/// the flight state, and the two timestamps a reply updates.
+struct Shared {
+    /// The connection's token, checked on lookup.
+    id: ConnId,
+    stream: TcpStream,
+    flight: AtomicU8,
+    /// Reactor-clock ms of the last read, reply or write.
+    last_activity_ms: AtomicU64,
+    /// Dispatch time of the in-flight frame as nanoseconds since the
+    /// reactor's epoch plus one (0 = none), kept only while tracing is
+    /// enabled; whichever thread finishes the write closes the
+    /// dispatch→reply span with it.
+    dispatched_ns: AtomicU64,
+}
+
+impl Shared {
+    fn in_flight(&self) -> bool {
+        self.flight.load(Ordering::Acquire) != IDLE
+    }
+
+    /// Moves the flight state from anything but `WRITING` to `to`, waiting
+    /// out a write in progress. Returns the state it replaced.
+    fn settle(&self, to: impl Fn(u8) -> u8) -> u8 {
+        loop {
+            let cur = self.flight.load(Ordering::Acquire);
+            if cur == WRITING {
+                // A replying thread is inside one nonblocking write pass;
+                // give it the CPU rather than spin against it.
+                std::thread::yield_now();
+                continue;
+            }
+            let next = to(cur);
+            // Only the reactor moves a connection out of `IDLE` or
+            // `QUEUED`, and it is the caller here: no race to lose.
+            if next == cur
+                || self
+                    .flight
+                    .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                return cur;
+            }
+        }
+    }
+
+    fn take_dispatch(&self, t0: Instant) -> Option<Instant> {
+        match self.dispatched_ns.swap(0, Ordering::Relaxed) {
+            0 => None,
+            ns => Some(t0 + Duration::from_nanos(ns - 1)),
+        }
+    }
+}
+
+/// The completion side of a shard: replying threads push, the reactor
+/// drains what they could not write themselves. One per reactor.
 pub struct ReplyQueue {
     queue: Mutex<Vec<Reply>>,
     waker: Waker,
+    /// The shard's live connections by slot, for [`push`](Self::push) to
+    /// find the stream of a direct flight.
+    conns: Mutex<Vec<Option<Arc<Shared>>>>,
+    /// The reactor clock's epoch.
+    t0: Instant,
 }
 
 impl ReplyQueue {
-    /// Queues a finished response and wakes the reactor.
+    /// Delivers a finished response. When the reactor left the write to
+    /// the replying thread (see the module docs), the bytes go straight to
+    /// the socket and the reactor is not woken. Otherwise — or when the
+    /// write comes up short or fails — the reply (or its unwritten
+    /// remainder) is queued and the reactor woken to finish it.
     pub fn push(&self, reply: Reply) {
-        self.queue
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(reply);
-        self.waker.wake();
+        if let Some(rest) = self.write_direct(reply) {
+            self.queue
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .push(rest);
+            self.waker.wake();
+        }
     }
 
     /// The shard's waker (also usable to interrupt the reactor for
@@ -112,8 +208,81 @@ impl ReplyQueue {
         &self.waker
     }
 
+    fn now_ms(&self) -> u64 {
+        self.t0.elapsed().as_millis() as u64
+    }
+
     fn drain_into(&self, out: &mut Vec<Reply>) {
         out.append(&mut self.queue.lock().unwrap_or_else(|p| p.into_inner()));
+    }
+
+    fn table(&self) -> std::sync::MutexGuard<'_, Vec<Option<Arc<Shared>>>> {
+        self.conns.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn lookup(&self, id: ConnId) -> Option<Arc<Shared>> {
+        let slot = token_slot(id);
+        let table = self.table();
+        let conn = table.get(slot as usize)?.as_ref()?;
+        (conn.id == id).then(|| conn.clone())
+    }
+
+    /// Writes `reply` on the calling thread if its connection's flight is
+    /// direct. Returns what the reactor still has to deliver: the whole
+    /// reply, the unwritten remainder of a short write, an empty closing
+    /// reply after a write error, or nothing.
+    fn write_direct(&self, reply: Reply) -> Option<Reply> {
+        if !reply.keep_alive {
+            return Some(reply);
+        }
+        let Some(shared) = self.lookup(reply.conn) else {
+            return Some(reply);
+        };
+        if shared
+            .flight
+            .compare_exchange(DIRECT, WRITING, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            // The reactor took the reply back, or let the connection go.
+            return Some(reply);
+        }
+        let Reply {
+            conn, bytes, id, ..
+        } = reply;
+        let mut out = WriteBuf::from(bytes);
+        let written = out.flush_to(&mut &shared.stream);
+        shared
+            .last_activity_ms
+            .store(self.now_ms(), Ordering::Relaxed);
+        let (rest, keep_alive) = match written {
+            Ok(true) => {
+                // Take the span start before the flight ends: right after,
+                // the reactor may dispatch the connection's next frame.
+                let start = shared.take_dispatch(self.t0);
+                shared.flight.store(IDLE, Ordering::Release);
+                if let Some(start) = start {
+                    tracer().record_with_id(
+                        "net",
+                        "inflight",
+                        start,
+                        start.elapsed(),
+                        id.as_deref(),
+                    );
+                }
+                return None;
+            }
+            Ok(false) => (out.into_pending(), true),
+            // The reactor closes the connection, as after its own failed
+            // write.
+            Err(_) => (Vec::new(), false),
+        };
+        shared.flight.store(QUEUED, Ordering::Release);
+        Some(Reply {
+            conn,
+            bytes: rest,
+            keep_alive,
+            id,
+        })
     }
 }
 
@@ -203,23 +372,25 @@ pub struct ReactorStats {
     pub pending_timers: usize,
 }
 
+/// The reactor's side of a connection. Dropping it (close, or reactor
+/// exit) marks the shared record closed, so no replying thread writes the
+/// stream afterwards.
 struct Conn {
-    stream: TcpStream,
-    gen: u32,
+    shared: Arc<Shared>,
     read_buf: Vec<u8>,
     write: WriteBuf,
-    /// A frame is dispatched and its reply not yet queued for write.
-    busy: bool,
     /// Peer closed its write side; `read_buf` holds the final bytes.
     eof: bool,
     /// Close as soon as the write buffer drains.
     close_after_flush: bool,
     interest: Interest,
-    last_activity_ms: u64,
     idle_timer: Option<TimerId>,
-    /// Dispatch timestamp of the in-flight frame, kept only while tracing
-    /// is enabled; closes the dispatch→reply span in `reply_ready`.
-    dispatched_at: Option<Instant>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.shared.settle(|_| CLOSED);
+    }
 }
 
 /// One event loop. Construct with a bound listener, then [`run`](Self::run)
@@ -233,7 +404,6 @@ pub struct Reactor {
     free: Vec<u32>,
     gens: Vec<u32>,
     wheel: TimerWheel,
-    t0: Instant,
     live: usize,
     metrics: Option<Arc<NetMetrics>>,
 }
@@ -255,13 +425,14 @@ impl Reactor {
             replies: Arc::new(ReplyQueue {
                 queue: Mutex::new(Vec::new()),
                 waker,
+                conns: Mutex::new(Vec::new()),
+                t0: Instant::now(),
             }),
             cfg,
             conns: Vec::new(),
             free: Vec::new(),
             gens: Vec::new(),
             wheel,
-            t0: Instant::now(),
             live: 0,
             metrics: None,
         })
@@ -283,7 +454,7 @@ impl Reactor {
     }
 
     fn now_ms(&self) -> u64 {
-        self.t0.elapsed().as_millis() as u64
+        self.replies.now_ms()
     }
 
     /// Runs the event loop until `stop` is raised. Consumes the reactor;
@@ -294,8 +465,10 @@ impl Reactor {
     /// polling heartbeat. Shutdown is therefore a two-step contract: raise
     /// `stop`, then fire the shard's waker
     /// ([`ReplyQueue::waker`](ReplyQueue::waker)) to pull the loop out of
-    /// `epoll_wait`. [`ReplyQueue::push`] wakes as a side effect, so reply
-    /// traffic can never stall the loop either.
+    /// `epoll_wait`. [`ReplyQueue::push`] wakes whenever it leaves work for
+    /// the reactor, so a queued reply never stalls; a reply written
+    /// directly needs no wake, because its connection's READ interest
+    /// stayed armed and the peer's next bytes are the next event.
     ///
     /// With a nonzero [`ReactorConfig::drain_ms`], a raised stop flag first
     /// deregisters the listener and keeps the loop running — up to the
@@ -321,11 +494,13 @@ impl Reactor {
                     let _ = self.poller.remove(&self.listener);
                     self.now_ms() + self.cfg.drain_ms
                 });
+                // Direct replies end their flights without a wake; the
+                // bounded naps below notice.
                 let in_flight = self
                     .conns
                     .iter()
                     .flatten()
-                    .any(|c| c.busy || !c.write.is_empty());
+                    .any(|c| c.shared.in_flight() || !c.write.is_empty());
                 if !in_flight || self.now_ms() >= deadline {
                     break;
                 }
@@ -380,12 +555,18 @@ impl Reactor {
                 }
             }
         }
-        ReactorStats {
+        let stats = ReactorStats {
             live_conns: self.live,
             slots: self.conns.len(),
             free_slots: self.free.len(),
             pending_timers: self.wheel.pending(),
-        }
+        };
+        // Let go of every connection: each is marked closed (no replying
+        // thread writes it again), and its stream closes once the last
+        // in-progress reply drops its handle.
+        self.conns.clear();
+        self.replies.table().clear();
+        stats
     }
 
     fn accept_ready(&mut self) {
@@ -447,18 +628,28 @@ impl Reactor {
             .cfg
             .idle_timeout_ms
             .map(|t| self.wheel.schedule(now + t, token));
-        self.conns[slot as usize] = Some(Conn {
+        let shared = Arc::new(Shared {
+            id: token,
             stream,
-            gen,
+            flight: AtomicU8::new(IDLE),
+            last_activity_ms: AtomicU64::new(now),
+            dispatched_ns: AtomicU64::new(0),
+        });
+        {
+            let mut table = self.replies.table();
+            if table.len() <= slot as usize {
+                table.resize(slot as usize + 1, None);
+            }
+            table[slot as usize] = Some(shared.clone());
+        }
+        self.conns[slot as usize] = Some(Conn {
+            shared,
             read_buf: Vec::new(),
             write: WriteBuf::new(),
-            busy: false,
             eof: false,
             close_after_flush: false,
             interest: Interest::READ,
-            last_activity_ms: now,
             idle_timer,
-            dispatched_at: None,
         });
         self.live += 1;
         if let Some(m) = &self.metrics {
@@ -468,16 +659,17 @@ impl Reactor {
     }
 
     fn lookup(&self, token: u64) -> Option<u32> {
-        let (slot, gen) = token_parts(token);
+        let slot = token_slot(token);
         match self.conns.get(slot as usize)? {
-            Some(conn) if conn.gen == gen => Some(slot),
+            Some(conn) if conn.shared.id == token => Some(slot),
             _ => None,
         }
     }
 
     fn close(&mut self, slot: u32) {
         if let Some(conn) = self.conns[slot as usize].take() {
-            let _ = self.poller.remove(&conn.stream);
+            let _ = self.poller.remove(&conn.shared.stream);
+            self.replies.table()[slot as usize] = None;
             if let Some(id) = conn.idle_timer {
                 self.wheel.cancel(id);
             }
@@ -508,13 +700,24 @@ impl Reactor {
             let cfg_read_limit = self.cfg.read_limit;
             let now = self.now_ms();
             let conn = self.conns[slot as usize].as_mut().expect("live slot");
-            conn.last_activity_ms = now;
-            if conn.busy || conn.close_after_flush || conn.eof {
+            conn.shared.last_activity_ms.store(now, Ordering::Relaxed);
+            // Bytes (or a hangup) while a frame is in flight: a direct
+            // flight becomes queued — the reply is left to this thread —
+            // and reads pause. A flight whose reply was just written is
+            // over, and the bytes are the next request.
+            let was = conn
+                .shared
+                .settle(|cur| if cur == DIRECT { QUEUED } else { cur });
+            if was != IDLE {
+                self.flush_and_rearm(slot, driver);
+                return;
+            }
+            if conn.close_after_flush || conn.eof {
                 // Not interested in bytes right now (level-triggered events
                 // for a paused conn are possible until interest updates).
                 return;
             }
-            match read_nonblocking(&mut conn.stream, &mut conn.read_buf, cfg_read_limit) {
+            match read_nonblocking(&mut &conn.shared.stream, &mut conn.read_buf, cfg_read_limit) {
                 Ok(ReadStatus::Eof) => conn.eof = true,
                 Ok(ReadStatus::WouldBlock) | Ok(ReadStatus::LimitReached) => {}
                 Err(_) => {
@@ -532,19 +735,28 @@ impl Reactor {
         let replies = self.replies.clone();
         loop {
             let conn = self.conns[slot as usize].as_mut().expect("live slot");
-            if conn.busy || conn.close_after_flush {
+            // An inline driver may have answered (directly) inside the
+            // previous dispatch; then the loop parses on.
+            if conn.shared.in_flight() || conn.close_after_flush {
                 break;
             }
             match driver.slice(&conn.read_buf) {
                 Sliced::Frame(n) => {
                     let frame: Vec<u8> = conn.read_buf.drain(..n).collect();
-                    conn.busy = true;
-                    conn.dispatched_at = tracer().enabled().then(Instant::now);
-                    let token = conn_token(slot, conn.gen);
+                    if tracer().enabled() {
+                        let ns = replies.t0.elapsed().as_nanos() as u64 + 1;
+                        conn.shared.dispatched_ns.store(ns, Ordering::Relaxed);
+                    }
+                    // The replying thread may write the reply itself only
+                    // when nothing else is owed or pending on the
+                    // connection; READ interest then stays armed.
+                    let direct = conn.read_buf.is_empty() && conn.write.is_empty() && !conn.eof;
+                    let flight = if direct { DIRECT } else { QUEUED };
+                    conn.shared.flight.store(flight, Ordering::Release);
                     if let Some(m) = &self.metrics {
                         m.dispatches.inc();
                     }
-                    driver.dispatch(token, frame, &replies);
+                    driver.dispatch(conn.shared.id, frame, &replies);
                 }
                 Sliced::Partial { head_complete } => {
                     if conn.eof {
@@ -568,7 +780,7 @@ impl Reactor {
         self.flush_and_rearm(slot, driver);
     }
 
-    /// A worker finished a frame: queue the response and keep the
+    /// A reply came through the queue: buffer it for writing and keep the
     /// connection's pipeline moving.
     fn reply_ready(&mut self, reply: Reply, driver: &mut impl Driver) {
         let Some(slot) = self.lookup(reply.conn) else {
@@ -576,10 +788,11 @@ impl Reactor {
         };
         {
             let now = self.now_ms();
+            let t0 = self.replies.t0;
             let conn = self.conns[slot as usize].as_mut().expect("live slot");
-            conn.busy = false;
-            conn.last_activity_ms = now;
-            if let Some(start) = conn.dispatched_at.take() {
+            conn.shared.flight.store(IDLE, Ordering::Release);
+            conn.shared.last_activity_ms.store(now, Ordering::Relaxed);
+            if let Some(start) = conn.shared.take_dispatch(t0) {
                 tracer().record_with_id(
                     "net",
                     "inflight",
@@ -601,7 +814,7 @@ impl Reactor {
     /// connection when its story is over.
     fn flush_and_rearm(&mut self, slot: u32, _driver: &mut impl Driver) {
         let conn = self.conns[slot as usize].as_mut().expect("live slot");
-        let drained = match conn.write.flush_to(&mut conn.stream) {
+        let drained = match conn.write.flush_to(&mut &conn.shared.stream) {
             Ok(d) => d,
             Err(_) => {
                 self.close(slot);
@@ -612,13 +825,16 @@ impl Reactor {
             self.close(slot);
             return;
         }
-        if drained && conn.eof && !conn.busy && conn.read_buf.is_empty() {
+        if drained && conn.eof && !conn.shared.in_flight() && conn.read_buf.is_empty() {
             // Peer is gone and nothing is owed: done.
             self.close(slot);
             return;
         }
+        // Reads pause while the reactor owes a queued reply. A direct
+        // flight keeps them armed: the replying thread ends it without
+        // telling this one, and the peer's next bytes find it over.
         let desired = Interest {
-            readable: !conn.busy
+            readable: conn.shared.flight.load(Ordering::Acquire) != QUEUED
                 && !conn.close_after_flush
                 && !conn.eof
                 && conn.write.pending() < self.cfg.write_backpressure
@@ -626,8 +842,11 @@ impl Reactor {
             writable: !drained,
         };
         if desired != conn.interest {
-            let token = conn_token(slot, conn.gen);
-            if self.poller.modify(&conn.stream, token, desired).is_err() {
+            if self
+                .poller
+                .modify(&conn.shared.stream, conn.shared.id, desired)
+                .is_err()
+            {
                 self.close(slot);
                 return;
             }
@@ -647,8 +866,14 @@ impl Reactor {
             None => return,
         };
         let (idle_since, busy) = {
-            let conn = self.conns[slot as usize].as_ref().expect("live slot");
-            (conn.last_activity_ms, conn.busy)
+            let shared = &self.conns[slot as usize]
+                .as_ref()
+                .expect("live slot")
+                .shared;
+            (
+                shared.last_activity_ms.load(Ordering::Relaxed),
+                shared.in_flight(),
+            )
         };
         if !busy && now.saturating_sub(idle_since) >= timeout {
             self.close(slot);

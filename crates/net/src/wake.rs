@@ -1,6 +1,7 @@
 //! [`Waker`]: the cross-thread wakeup primitive — an eventfd registered in
-//! the reactor's poller, so worker threads finishing deferred responses can
-//! pull a parked `epoll_wait` out of its nap.
+//! the reactor's poller, so a worker thread that leaves a response for the
+//! reactor to write (or a shutdown) can pull a parked `epoll_wait` out of
+//! its nap. Responses the worker writes itself need no wake.
 //!
 //! Eventfd beats the classic self-pipe: one fd instead of two, writes are a
 //! single 8-byte counter add that never blocks (short of 2^64-1 pending

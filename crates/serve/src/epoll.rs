@@ -10,9 +10,15 @@
 //! worker. Workers — the same one-[`CoverageScratch`]-per-thread discipline
 //! as the pool backend — parse, dispatch through
 //! [`route`](crate::server::route) via [`respond`], encode the response,
-//! and push it into the owning shard's [`ReplyQueue`]; the queue's eventfd
-//! waker pulls the reactor out of `epoll_wait` to write it, resuming across
-//! partial writes.
+//! and hand it to the owning shard's [`ReplyQueue`]. When the shard
+//! dispatched the frame with nothing else pending on its connection (no
+//! pipelined bytes, no unflushed output, no half-close), the worker writes
+//! the response to the socket itself and the reactor is not woken: its
+//! READ interest stayed armed, so the client's next request is its next
+//! event. Otherwise, or when the write comes up short, the response (or
+//! its remainder) is queued and the queue's eventfd waker pulls the
+//! reactor out of `epoll_wait` to write it, resuming across partial
+//! writes.
 //!
 //! The request pipeline is therefore identical to the pool backend's
 //! (`read → parse → respond → write`, one in-flight request per

@@ -169,6 +169,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut p = Parser {
+            text,
             bytes,
             pos: 0,
             depth: 0,
@@ -224,6 +225,7 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: u32 = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
@@ -364,12 +366,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash. Both are ASCII, and ASCII bytes never occur
+                    // inside a multi-byte UTF-8 character, so the run ends on
+                    // a char boundary of `text`.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -552,6 +558,29 @@ mod tests {
         // Reasonable nesting still parses.
         let ok = format!("{}1{}", "[".repeat(50), "]".repeat(50));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MiB string body: unescaped runs mixed with multi-byte
+        // characters and escapes. A parser that rescans the rest of the
+        // input per character needs minutes for this; a linear one, far
+        // less than a second even in a debug build.
+        let unit = "abcdefgh ünï€ode 🦀 \"quoted\" back\\slash\n";
+        let s = unit.repeat((1 << 20) / unit.len() + 1);
+        let v = Json::Str(s.clone());
+        let t0 = std::time::Instant::now();
+        let body = Json::obj([("s", v)]).encode();
+        let back = Json::parse(&body).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(back.get("s").unwrap().as_str(), Some(s.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB string took {elapsed:?}"
+        );
+        // A run with no closing quote still fails at the end of input.
+        let err = Json::parse("\"abc ünï").unwrap_err();
+        assert_eq!(err.pos, "\"abc ünï".len());
     }
 
     #[test]
